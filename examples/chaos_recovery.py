@@ -22,8 +22,8 @@ Everything is seeded: rerunning prints identical numbers.
 Run:  python examples/chaos_recovery.py
 """
 
+from repro.experiments.campaigns import ChaosConfig, chaos_sweep, run_chaos
 from repro.faults import BackoffPolicy, FaultInjector, FaultKind, FaultSpec
-from repro.sim.scenarios import ChaosConfig, chaos_sweep, run_chaos
 from repro.vc.oscars import OscarsIDC, ReservationRequest
 from repro.net.topology import esnet_like
 

@@ -315,7 +315,7 @@ def _scenario_sched_compare(
     entry carries ``availability`` + ``goodput_bps``, the pair the
     ``pareto_front`` analysis scenario consumes.
     """
-    from ..sched import run_sched_comparison
+    from ..sched.compare import run_sched_comparison
     from .campaigns import encode_nonfinite
 
     return encode_nonfinite(run_sched_comparison(dict(params), seed))

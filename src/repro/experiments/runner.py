@@ -9,11 +9,12 @@ mechanistic, SNMP, managed-service, synth) through the same pipeline:
    :class:`~repro.experiments.cache.ResultCache` and, on a resumed run,
    from the :class:`~repro.experiments.checkpoint.CampaignCheckpoint`
    journal (which restores quarantined cells the cache never stores);
-3. execute the rest through a pluggable executor — serial in-process, or
-   a ``ProcessPoolExecutor`` (``jobs > 1``) with chunked submission and a
-   per-cell wall-clock timeout measured from *observed execution start*
-   (workers stamp a shared start-time map), so a cell that merely queued
-   behind a slow batch never burns its budget waiting;
+3. execute the rest through one ready-set loop that hands batches to an
+   executor — in-process (``jobs == 1``), or a ``ProcessPoolExecutor``
+   (``jobs > 1``) with a per-cell wall-clock timeout measured from
+   *observed execution start* (workers stamp a shared start-time map),
+   so a cell that merely queued behind a slow batch never burns its
+   budget waiting;
 4. quarantine failed cells (exception or timeout) as
    :class:`CellResult` errors instead of aborting the campaign, so one
    pathological grid point cannot cost you the other 99.  A timed-out
@@ -46,21 +47,21 @@ re-run short-circuits entire stages through the cache, an upstream edit
 re-keys (and therefore re-runs) exactly the stages downstream of it, and
 a kill mid-stage resumes from that stage's own journal.
 
-Under ``jobs > 1`` the pipeline runs on a **ready-set DAG scheduler**:
-one worker pool serves the whole pipeline, and a stage becomes runnable
-the moment the artifact digests of everything it ``needs`` settle — so
-the two middle stages of a diamond execute their cells side by side in
-shared batches instead of serializing stage by stage.  Scheduling order
-never leaks into results: cell keys, fingerprints, and artifacts are
-pure functions of the specs and upstream digests, so any legal
-interleaving produces byte-identical artifacts to the ``jobs=1`` serial
-stage loop (which is preserved verbatim as the ``jobs == 1`` path).
-Per-stage checkpoints journal exactly as before; a drain signal flushes
-every open stage's journal and exits resumable.  A stage that settles
-with quarantined cells *cancels* its artifact-consuming dependents
-(transitively) — their cells settle with a one-line ``cancelled:``
-reason instead of the scheduler raising mid-flight, and stages that
-never needed the broken grid still run to completion.
+A flat campaign is a one-stage pipeline to the loop.  A stage becomes
+runnable the moment the artifact digests of everything it ``needs``
+settle, and each batch mixes pending cells from every open stage — so
+under ``jobs > 1`` the two middle stages of a diamond execute their
+cells side by side in shared batches instead of serializing stage by
+stage.  Scheduling order never leaks into results: cell keys,
+fingerprints, and artifacts are pure functions of the specs and
+upstream digests, so any legal interleaving, at any ``jobs``, produces
+byte-identical artifacts.  Per-stage checkpoints journal independently;
+a drain signal flushes every open stage's journal and exits resumable.
+A stage that settles with quarantined cells *cancels* its
+artifact-consuming dependents (transitively) — their cells settle with
+a one-line ``cancelled:`` reason instead of the loop raising
+mid-flight, and stages that never needed the broken grid still run to
+completion.
 
 :meth:`Runner.dry_run` walks the same plan without executing anything;
 :func:`plan_dag_summary` reduces a dry-run plan to the stage DAG's
@@ -70,6 +71,7 @@ critical path, width, and a predicted serial-vs-parallel cell schedule.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -78,6 +80,7 @@ import threading
 import time
 import traceback
 import warnings
+from collections.abc import Callable, Iterator
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
@@ -115,6 +118,11 @@ def _worker_init() -> None:
         pass
 
 
+def _format_error(exc: BaseException) -> str:
+    """The one-line quarantine reason for an exception."""
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
+
+
 def _execute_cell(
     scenario: str,
     params: dict[str, Any],
@@ -122,8 +130,13 @@ def _execute_cell(
     start_times: Any = None,
     index: int | None = None,
     artifacts: dict[str, ArtifactSet] | None = None,
-) -> tuple[Any, float]:
+) -> tuple[Any, float, str | None]:
     """Run one cell; module-level so it pickles into worker processes.
+
+    Returns ``(result, wall_s, error)``.  A scenario exception is caught
+    here, where the cell ran, so a quarantined cell's ``wall_s`` is its
+    own execution time under every executor — never the time it sat
+    queued behind its batch-mates.
 
     ``start_times`` is an optional shared mapping the worker stamps with
     ``time.monotonic()`` at execution start — the supervisor's timeout
@@ -136,13 +149,16 @@ def _execute_cell(
             start_times[index] = time.monotonic()
         except Exception:  # a dead manager must not fail the cell
             pass
-    fn = get_scenario(scenario)
     t0 = time.perf_counter()
-    if scenario_needs_artifacts(scenario):
-        result = fn(params, seed, artifacts or {})
-    else:
-        result = fn(params, seed)
-    return result, time.perf_counter() - t0
+    try:
+        fn = get_scenario(scenario)
+        if scenario_needs_artifacts(scenario):
+            result = fn(params, seed, artifacts or {})
+        else:
+            result = fn(params, seed)
+    except Exception as exc:  # quarantine, keep the campaign alive
+        return None, time.perf_counter() - t0, _format_error(exc)
+    return result, time.perf_counter() - t0, None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -393,7 +409,7 @@ class PipelineResult:
     external spec reference as written in ``needs`` — to its
     :class:`CampaignResult`; insertion order is the deterministic plan
     order (externals first, then topological stage order), regardless
-    of how the DAG scheduler interleaved execution.
+    of how the execution loop interleaved the stages' cells.
     """
 
     pipeline: PipelineSpec
@@ -547,96 +563,80 @@ def _summarize(result: Any, limit: int = 4) -> str:
     return " ".join(parts)
 
 
-@dataclasses.dataclass(frozen=True)
-class _RunContext:
-    """Everything one campaign's executors need beyond the cell itself.
+@dataclasses.dataclass
+class _StageRun:
+    """One campaign's mutable state inside the execution loop.
 
-    Bundles the spec with the pipeline-era extras — upstream artifact
-    sets (for analysis scenarios), their digests (folded into cell keys
-    and stored with each artifact), and the inputs-aware fingerprint
-    (the provenance header) — so the executor plumbing stays one
-    argument wide.
+    :meth:`Runner.run` drives a single one of these; a pipeline drives
+    one per stage.  Everything after ``needs`` is filled in when the
+    stage opens (:meth:`Runner._open`).
     """
 
+    key: str
     spec: ExperimentSpec
+    needs: tuple[str, ...] = ()
     #: dependency name -> resolved upstream set (analysis scenarios only)
     artifacts: dict[str, ArtifactSet] | None = None
     #: dependency name -> upstream set digest (participates in cell keys)
     digests: dict[str, str] | None = None
     fingerprint: str | None = None
-
-
-@dataclasses.dataclass
-class _Task:
-    """One dispatchable cell bound to its stage's context.
-
-    The parallel executors work on tasks, not bare cells, so a single
-    worker-pool batch can mix cells from several pipeline stages: each
-    task carries its stage's context, its settle target, and its
-    checkpoint journal.  ``token`` is unique across the whole run — the
-    worker stamps execution start under it in the shared map, so equal
-    cell indices from sibling stages can never collide.
-    """
-
-    ctx: _RunContext
-    cell: Cell
-    key: str | None
-    settled: dict[int, CellResult]
-    ckpt: CampaignCheckpoint | None
-    token: int
-    #: resolution key of the owning stage (None for flat campaigns)
-    stage: str | None = None
-
-
-@dataclasses.dataclass
-class _StageRun:
-    """Mutable per-stage state inside the DAG scheduler."""
-
-    key: str
-    spec: ExperimentSpec
-    needs: tuple[str, ...]
-    external: bool
-    #: set once the stage's needs settled and its cells were resolved
-    ctx: _RunContext | None = None
     ckpt: CampaignCheckpoint | None = None
     cells: list[Cell] = dataclasses.field(default_factory=list)
     settled: dict[int, CellResult] = dataclasses.field(default_factory=dict)
     #: resolved cells not yet dispatched, in grid order
     pending: list[tuple[Cell, str | None]] = dataclasses.field(default_factory=list)
     t0: float = 0.0
+    #: set once the stage's needs settled and its cells were resolved
     opened: bool = False
     #: final result; also set (with all-cancelled cells) on cancellation
     campaign: CampaignResult | None = None
-    cancelled: bool = False
 
     @property
     def finished(self) -> bool:
         return self.campaign is not None
 
 
+@dataclasses.dataclass
+class _Task:
+    """One dispatchable cell bound to its stage.
+
+    A batch can mix cells from several pipeline stages: each task
+    settles into its own stage's result map and checkpoint journal.
+    ``token`` is unique across the whole run — a pool worker stamps
+    execution start under it in the shared map, so equal cell indices
+    from sibling stages can never collide.
+    """
+
+    run: _StageRun
+    cell: Cell
+    key: str | None
+    token: int
+
+
 class Runner:
-    """Execute campaigns: serial or process-parallel, cached, resumable.
+    """Execute campaigns: in-process or process-parallel, cached, resumable.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` (default) runs serially in-process.
-        For pipelines the pool is *pipeline-wide*: cells from every
-        runnable stage share it, so sibling stages of a diamond run
-        side by side.
+        Worker processes; ``1`` (default) runs cells in-process.  The
+        pool is *run-wide*: for pipelines, cells from every runnable
+        stage share it, so sibling stages of a diamond run side by side.
     cache:
         A :class:`ResultCache` to consult before and fill after each
         cell; ``None`` disables caching.
     cell_timeout_s:
-        Per-cell wall-clock budget (parallel mode only — a serial run
-        has no supervisor to interrupt the cell), measured from the
+        Per-cell wall-clock budget (``jobs > 1`` only — an in-process
+        cell has no supervisor to interrupt it), measured from the
         cell's observed execution start, not its submission; overruns
         quarantine the cell and the wedged worker is terminated when
         the pool recycles.
     chunk_size:
-        Cells submitted per worker per batch in parallel mode.  Batches
-        bound how much work is in flight, so a campaign killed mid-run
-        has cached everything completed rather than nothing.
+        Cells per worker per batch: each batch holds ``jobs *
+        chunk_size`` cells and is journaled as the in-flight frontier
+        before it runs.  Batches bound how much work is in flight, so a
+        campaign killed mid-run has cached everything completed rather
+        than nothing.
     checkpoint_dir:
         Directory for :class:`CampaignCheckpoint` journals; ``None``
         disables checkpointing.  With a journal, a killed run restarted
@@ -662,7 +662,7 @@ class Runner:
         self.cell_timeout_s = cell_timeout_s
         self.chunk_size = chunk_size
         self.checkpoint_dir = checkpoint_dir
-        #: optional scheduling-order hook for the DAG scheduler: called
+        #: optional scheduling-order hook for the execution loop: called
         #: with the candidate list of ``(stage_key, cell_index)`` pairs
         #: (plan order) before each batch is cut; returns the pairs in
         #: the order to dispatch.  Exists so tests can force arbitrary
@@ -690,39 +690,26 @@ class Runner:
         everything settled up to that point is journaled/cached for
         resume.
         """
-        t0 = time.perf_counter()
-        ctx, cells, ckpt, settled, pending = self._prepare(spec, force, inputs)
-        if pending:
-            with _SignalDrain() as drain:
-                if self.jobs == 1:
-                    self._run_serial(ctx, pending, settled, ckpt, drain)
-                else:
-                    self._run_parallel(ctx, pending, settled, ckpt, drain)
-                if drain.triggered:
-                    if ckpt is not None:
-                        ckpt.flush()
-                    raise self._interrupted(spec, drain.signum, cells, settled, ckpt)
-        return self._finish(ctx, cells, ckpt, settled, t0)
+        stage = _StageRun(key=spec.name, spec=spec)
+        self._open(stage, force, inputs)
+        self._schedule({stage.key: stage}, lambda: None, self._finish)
+        return stage.campaign
 
-    def _prepare(
+    def _open(
         self,
-        spec: ExperimentSpec,
+        run: _StageRun,
         force: bool,
         inputs: dict[str, ArtifactSet] | None,
-    ) -> tuple[
-        _RunContext,
-        list[Cell],
-        CampaignCheckpoint | None,
-        dict[int, CellResult],
-        list[tuple[Cell, str | None]],
-    ]:
+    ) -> None:
         """Resolve one campaign up to (but not into) execution.
 
         Validates the scenario signature, folds upstream digests into
-        the context, loads/restores the checkpoint journal, satisfies
-        cache hits, and returns the still-pending cells.  Shared by
-        :meth:`run` and the DAG scheduler's stage-open step.
+        the stage, loads/restores the checkpoint journal, satisfies
+        cache hits, and leaves the still-pending cells in
+        ``run.pending``.
         """
+        run.t0 = time.perf_counter()
+        spec = run.spec
         get_scenario(spec.scenario)  # fail fast on unknown scenarios
         if scenario_needs_artifacts(spec.scenario):
             if inputs is None:
@@ -737,37 +724,29 @@ class Runner:
                 "but inputs were supplied; register it with "
                 "needs_artifacts=True or drop the stage's needs"
             )
-        digests = (
+        run.digests = (
             {name: aset.digest for name, aset in sorted(inputs.items())}
             if inputs
             else None
         )
-        fingerprint = spec_fingerprint(spec, inputs=digests)
-        ctx = _RunContext(
-            spec=spec,
-            artifacts=dict(inputs) if inputs else None,
-            digests=digests,
-            fingerprint=fingerprint,
-        )
-        cells = spec.cells()
-        ckpt: CampaignCheckpoint | None = None
+        run.artifacts = dict(inputs) if inputs else None
+        run.fingerprint = spec_fingerprint(spec, inputs=run.digests)
+        run.cells = spec.cells()
         if self.checkpoint_dir is not None:
-            ckpt = CampaignCheckpoint.for_spec(
-                self.checkpoint_dir, spec, inputs=digests
+            run.ckpt = CampaignCheckpoint.for_spec(
+                self.checkpoint_dir, spec, inputs=run.digests
             )
             if not force:
-                ckpt.load()
-        settled: dict[int, CellResult] = {}
-        pending: list[tuple[Cell, str | None]] = []
-        for cell in cells:
-            key = self._key_for(ctx, cell)
-            if not force and ckpt is not None:
-                entry = ckpt.settled.get(cell.index)
+                run.ckpt.load()
+        for cell in run.cells:
+            key = self._key_for(run, cell)
+            if not force and run.ckpt is not None:
+                entry = run.ckpt.settled.get(cell.index)
                 if entry is not None and entry.error is not None:
                     # quarantined cells are never cached; restore them
                     # verbatim so the resumed campaign reports exactly
                     # what the uninterrupted one would
-                    settled[cell.index] = CellResult(
+                    run.settled[cell.index] = CellResult(
                         index=cell.index,
                         coords=cell.coords,
                         params=cell.params,
@@ -784,7 +763,7 @@ class Runner:
                 else None
             )
             if hit is not None:
-                settled[cell.index] = CellResult(
+                run.settled[cell.index] = CellResult(
                     index=cell.index,
                     coords=cell.coords,
                     params=cell.params,
@@ -795,54 +774,21 @@ class Runner:
                     key=key,
                 )
             else:
-                pending.append((cell, key))
-        return ctx, cells, ckpt, settled, pending
+                run.pending.append((cell, key))
+        run.opened = True
 
-    @staticmethod
-    def _interrupted(
-        spec: ExperimentSpec,
-        signum: int,
-        cells: list[Cell],
-        settled: dict[int, CellResult],
-        ckpt: CampaignCheckpoint | None,
-    ) -> CampaignInterrupted:
-        return CampaignInterrupted(
-            spec,
-            signum,
-            n_cells=len(cells),
-            n_settled=len(settled),
-            n_executed=sum(1 for c in settled.values() if c.ok and not c.cached),
-            n_cached=sum(1 for c in settled.values() if c.cached),
-            n_failed=sum(1 for c in settled.values() if not c.ok),
-            checkpoint_path=ckpt.path if ckpt is not None else None,
+    def _finish(self, run: _StageRun) -> None:
+        """Seal a fully-settled stage into its :class:`CampaignResult`."""
+        if run.ckpt is not None:
+            run.ckpt.complete()
+        run.campaign = CampaignResult(
+            spec=run.spec,
+            cells=tuple(run.settled[c.index] for c in run.cells),
+            wall_s=time.perf_counter() - run.t0,
+            fingerprint=run.fingerprint,
         )
 
-    def _finish(
-        self,
-        ctx: _RunContext,
-        cells: list[Cell],
-        ckpt: CampaignCheckpoint | None,
-        settled: dict[int, CellResult],
-        t0: float,
-    ) -> CampaignResult:
-        missing = [c.index for c in cells if c.index not in settled]
-        if missing:  # invariant: every non-drained path settles its cell
-            raise RuntimeError(
-                f"internal error: {len(missing)} cell(s) never settled "
-                f"(first: {missing[0]}); the checkpoint journal was kept "
-                "so the run stays resumable"
-            )
-        if ckpt is not None:
-            ckpt.complete()
-        ordered = tuple(settled[c.index] for c in cells)
-        return CampaignResult(
-            spec=ctx.spec,
-            cells=ordered,
-            wall_s=time.perf_counter() - t0,
-            fingerprint=ctx.fingerprint,
-        )
-
-    def _key_for(self, ctx: _RunContext, cell: Cell) -> str | None:
+    def _key_for(self, run: _StageRun, cell: Cell) -> str | None:
         """The cell's content address, or None when it has no identity.
 
         With a cache attached the key *must* compute — a spec whose
@@ -854,41 +800,210 @@ class Runner:
         """
         if self.cache is not None:
             return cell_key(
-                ctx.spec.scenario, cell.params, cell.seed, inputs=ctx.digests
+                run.spec.scenario, cell.params, cell.seed, inputs=run.digests
             )
         try:
             return cell_key(
-                ctx.spec.scenario, cell.params, cell.seed, inputs=ctx.digests
+                run.spec.scenario, cell.params, cell.seed, inputs=run.digests
             )
         except (TypeError, ValueError):
             return None
 
+    # -- the execution loop ------------------------------------------------
+
+    def _schedule(
+        self,
+        runs: dict[str, _StageRun],
+        open_ready: Callable[[], None],
+        finalize: Callable[[_StageRun], None],
+    ) -> None:
+        """The runner's one execution loop: ready-set batches to an executor.
+
+        Every iteration gathers pending cells from *all* open stages in
+        plan order, cuts one (possibly mixed) batch, and hands it to the
+        executor.  Between batches, stages whose cells all settled are
+        sealed through ``finalize`` and ``open_ready`` opens whatever
+        that unblocked, to a fixpoint — so stage completion,
+        cancellation, and the requeue/recycle machinery all happen with
+        no batch in flight, and the loop state is single-threaded.
+        """
+
+        def advance() -> bool:
+            while True:
+                open_ready()
+                done = [
+                    r for r in runs.values()
+                    if r.opened and not r.finished
+                    and len(r.settled) == len(r.cells)
+                ]
+                if not done:
+                    return all(r.finished for r in runs.values())
+                for run in done:
+                    finalize(run)
+
+        with _SignalDrain() as drain, self._executor(drain) as execute:
+            while not advance():
+                if drain.triggered:
+                    raise self._drained(runs, drain)
+                for task in execute(self._next_batch(runs)):
+                    task.run.pending.insert(0, (task.cell, task.key))
+                if drain.triggered:
+                    raise self._drained(runs, drain)
+
+    def _next_batch(self, runs: dict[str, _StageRun]) -> list[_Task]:
+        """Cut the next batch from every open stage; journal its frontier."""
+        # candidate cells from every open stage, plan order; the hook
+        # (tests) may permute them — any legal interleaving must produce
+        # identical results
+        by_id: dict[tuple[str, int], tuple[_StageRun, Cell, str | None]] = {}
+        for run in runs.values():
+            if run.opened and not run.finished:
+                for cell, key in run.pending:
+                    by_id[(run.key, cell.index)] = (run, cell, key)
+        order = list(by_id)
+        if self.schedule_hook is not None:
+            order = [tuple(p) for p in self.schedule_hook(list(order))]
+        if not order:
+            raise RuntimeError(
+                "internal error: execution loop stalled with unfinished "
+                "stages and no dispatchable cells"
+            )
+        tasks: list[_Task] = []
+        taken: dict[str, set[int]] = {}
+        for stage_key, index in order[: self.jobs * self.chunk_size]:
+            run, cell, key = by_id[(stage_key, index)]
+            taken.setdefault(stage_key, set()).add(index)
+            self._next_token += 1
+            tasks.append(_Task(run, cell, key, token=self._next_token))
+        for stage_key, indices in taken.items():
+            run = runs[stage_key]
+            run.pending = [(c, k) for c, k in run.pending if c.index not in indices]
+            if run.ckpt is not None:
+                run.ckpt.begin_batch(sorted(indices))
+        return tasks
+
+    @staticmethod
+    def _drained(
+        runs: dict[str, _StageRun], drain: _SignalDrain
+    ) -> CampaignInterrupted:
+        """Flush every open journal; report the first in-flight stage.
+
+        Plan order is topological and a stage opens once its needs
+        finish, so while any stage is unfinished some stage is open.
+        """
+        live = [r for r in runs.values() if r.opened and not r.finished]
+        for run in live:
+            if run.ckpt is not None:
+                run.ckpt.flush()
+        run = live[0]
+        settled = run.settled.values()
+        return CampaignInterrupted(
+            run.spec,
+            drain.signum,
+            n_cells=len(run.cells),
+            n_settled=len(run.settled),
+            n_executed=sum(1 for c in settled if c.ok and not c.cached),
+            n_cached=sum(1 for c in settled if c.cached),
+            n_failed=sum(1 for c in settled if not c.ok),
+            checkpoint_path=run.ckpt.path if run.ckpt is not None else None,
+        )
+
     # -- executors ---------------------------------------------------------
+
+    @contextlib.contextmanager
+    def _executor(
+        self, drain: _SignalDrain
+    ) -> Iterator[Callable[[list[_Task]], list[_Task]]]:
+        """Yield the batch executor; the one place ``jobs`` is consulted.
+
+        An executor settles what it can of one batch and returns the
+        tasks to put back in the queue.  ``jobs == 1`` runs each cell
+        in-process and stops between cells at a drain signal.  ``jobs >
+        1`` runs batches on one worker pool for the whole run: it owns
+        the pool, the start-time map workers stamp (with a per-cell
+        timeout), the per-cell broken-pool retry counts, and the pool
+        recycle after a hung or broken batch.  Pool and manager start
+        at the first batch, so a fully cached run spawns no process.
+        """
+        if self.jobs == 1:
+
+            def inline(tasks: list[_Task]) -> list[_Task]:
+                for task in tasks:
+                    if drain.triggered:
+                        break
+                    self._settle(
+                        task,
+                        *_execute_cell(
+                            task.run.spec.scenario,
+                            task.cell.params,
+                            task.cell.seed,
+                            artifacts=task.run.artifacts,
+                        ),
+                    )
+                return []
+
+            yield inline
+            return
+
+        pool: concurrent.futures.ProcessPoolExecutor | None = None
+        manager = None
+        start_times = None
+        pool_retries: dict[tuple[str, int], int] = {}
+        recycle = False
+
+        def pooled(tasks: list[_Task]) -> list[_Task]:
+            nonlocal pool, manager, start_times, recycle
+            if manager is None and self.cell_timeout_s is not None:
+                # workers stamp execution start here; the supervisor's
+                # timeout clock starts at the stamp, not at submission
+                manager = multiprocessing.Manager()
+                start_times = manager.dict()
+            if recycle:
+                # Future.cancel() is a no-op once running: a hung cell
+                # would silently hold its pool slot for the rest of the
+                # run.  Recycle instead.
+                self._kill_pool(pool)
+                pool = None
+            if pool is None:
+                pool = self._new_pool()
+            hung, broken, unfinished = self._drain_batch(
+                pool, tasks, drain, start_times
+            )
+            recycle = bool(hung or broken)
+            if drain.triggered:
+                # unfinished cells stay journaled for resume
+                return []
+            return self._requeue(unfinished, broken, pool_retries)
+
+        try:
+            yield pooled
+        finally:
+            if pool is not None:
+                self._kill_pool(pool)
+            if manager is not None:
+                manager.shutdown()
 
     def _settle(
         self,
-        ctx: _RunContext,
-        cell: Cell,
-        key: str | None,
-        settled: dict[int, CellResult],
+        task: _Task,
         result: Any,
         wall_s: float,
         error: str | None,
-        ckpt: CampaignCheckpoint | None = None,
     ) -> None:
+        run, cell, key = task.run, task.cell, task.key
         if error is None and key is not None and self.cache is not None:
             try:
                 self.cache.put(
                     key,
-                    ctx.spec.scenario,
+                    run.spec.scenario,
                     cell.params,
                     cell.seed,
                     result,
                     wall_s,
-                    inputs=ctx.digests,
+                    inputs=run.digests,
                     provenance={
-                        "spec_fingerprint": ctx.fingerprint,
-                        "spec_name": ctx.spec.name,
+                        "spec_fingerprint": run.fingerprint,
+                        "spec_name": run.spec.name,
                         "index": cell.index,
                         "coords": cell.coords,
                     },
@@ -902,7 +1017,7 @@ class Runner:
                     RuntimeWarning,
                     stacklevel=4,
                 )
-        settled[cell.index] = CellResult(
+        run.settled[cell.index] = CellResult(
             index=cell.index,
             coords=cell.coords,
             params=cell.params,
@@ -912,118 +1027,14 @@ class Runner:
             error=error,
             key=key,
         )
-        if ckpt is not None:
-            ckpt.record(cell.index, key, error, wall_s)
-
-    def _run_serial(
-        self,
-        ctx: _RunContext,
-        pending: list[tuple[Cell, str | None]],
-        settled: dict[int, CellResult],
-        ckpt: CampaignCheckpoint | None,
-        drain: _SignalDrain,
-    ) -> None:
-        for cell, key in pending:
-            if drain.triggered:
-                return
-            if ckpt is not None:
-                ckpt.begin_batch([cell.index])
-            t0 = time.perf_counter()
-            try:
-                result, wall = _execute_cell(
-                    ctx.spec.scenario,
-                    cell.params,
-                    cell.seed,
-                    artifacts=ctx.artifacts,
-                )
-                error = None
-            except Exception as exc:  # quarantine, keep the campaign alive
-                result, wall = None, time.perf_counter() - t0
-                error = "".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip()
-            self._settle(ctx, cell, key, settled, result, wall, error, ckpt)
-
-    def _task(
-        self,
-        ctx: _RunContext,
-        cell: Cell,
-        key: str | None,
-        settled: dict[int, CellResult],
-        ckpt: CampaignCheckpoint | None,
-        stage: str | None = None,
-    ) -> _Task:
-        """Bind one cell to its stage context under a fresh token.
-
-        Tokens are never reused — a resubmitted cell gets a new task, so
-        a stale execution-start stamp from a broken first attempt can
-        never be mistaken for the retry's start.
-        """
-        self._next_token += 1
-        return _Task(
-            ctx=ctx,
-            cell=cell,
-            key=key,
-            settled=settled,
-            ckpt=ckpt,
-            token=self._next_token,
-            stage=stage,
-        )
-
-    def _run_parallel(
-        self,
-        ctx: _RunContext,
-        pending: list[tuple[Cell, str | None]],
-        settled: dict[int, CellResult],
-        ckpt: CampaignCheckpoint | None,
-        drain: _SignalDrain,
-    ) -> None:
-        batch_size = self.jobs * self.chunk_size
-        manager = None
-        start_times = None
-        if self.cell_timeout_s is not None:
-            # workers stamp execution start here; the supervisor's
-            # timeout clock starts at the stamp, not at submission
-            manager = multiprocessing.Manager()
-            start_times = manager.dict()
-        queue = list(pending)
-        pool_retries: dict[tuple[str | None, int], int] = {}
-        pool = self._new_pool()
-        try:
-            while queue:
-                if drain.triggered:
-                    return
-                batch, queue = queue[:batch_size], queue[batch_size:]
-                tasks = [
-                    self._task(ctx, cell, key, settled, ckpt)
-                    for cell, key in batch
-                ]
-                if ckpt is not None:
-                    ckpt.begin_batch([t.cell.index for t in tasks])
-                hung, broken, unfinished = self._drain_batch(
-                    pool, tasks, drain, start_times
-                )
-                if drain.triggered:
-                    # unfinished cells stay journaled for resume
-                    return
-                requeue = self._requeue(unfinished, broken, pool_retries)
-                queue = [(t.cell, t.key) for t in requeue] + queue
-                if (hung or broken) and queue:
-                    # Future.cancel() is a no-op once running: a hung
-                    # cell would silently hold its pool slot for the
-                    # rest of the campaign.  Recycle instead.
-                    self._kill_pool(pool)
-                    pool = self._new_pool()
-        finally:
-            self._kill_pool(pool)
-            if manager is not None:
-                manager.shutdown()
+        if run.ckpt is not None:
+            run.ckpt.record(cell.index, key, error, wall_s)
 
     def _requeue(
         self,
         unfinished: list[_Task],
         broken: bool,
-        pool_retries: dict[tuple[str | None, int], int],
+        pool_retries: dict[tuple[str, int], int],
     ) -> list[_Task]:
         """Decide each unexecuted task's fate: retry or quarantine.
 
@@ -1036,22 +1047,18 @@ class Runner:
         """
         retry: list[_Task] = []
         for task in unfinished:
-            rid = (task.stage, task.cell.index)
+            rid = (task.run.key, task.cell.index)
             if broken:
                 pool_retries[rid] = pool_retries.get(rid, 0) + 1
             if pool_retries.get(rid, 0) > _MAX_POOL_RETRIES:
                 self._settle(
-                    task.ctx,
-                    task.cell,
-                    task.key,
-                    task.settled,
+                    task,
                     None,
                     0.0,
                     "BrokenProcessPool: worker pool broke "
                     f"{pool_retries[rid]} times with this "
                     "cell in flight (does the scenario kill or "
                     "exit its worker process?)",
-                    task.ckpt,
                 )
             else:
                 retry.append(task)
@@ -1077,10 +1084,10 @@ class Runner:
         broke; and tasks this batch could not execute — the pool broke
         before/under them, or every worker slot was wedged past budget
         so a queued cell could never start.  The caller resubmits
-        unfinished tasks on a recycled pool (every cell is eventually
-        settled — ``run()`` relies on that to build the ordered result).
-        A drain signal mid-batch cancels not-yet-started futures (they
-        stay unfinished, for resume) and waits out the running ones.
+        unfinished tasks on a recycled pool, so every cell is
+        eventually settled.  A drain signal mid-batch cancels
+        not-yet-started futures (they stay unfinished, for resume) and
+        waits out the running ones.
         """
         futmap: dict[concurrent.futures.Future, tuple[_Task, float]] = {}
         unfinished: list[_Task] = []
@@ -1088,12 +1095,12 @@ class Runner:
             for task in tasks:
                 fut = pool.submit(
                     _execute_cell,
-                    task.ctx.spec.scenario,
+                    task.run.spec.scenario,
                     task.cell.params,
                     task.cell.seed,
                     start_times,
                     task.token,
-                    task.ctx.artifacts,
+                    task.run.artifacts,
                 )
                 futmap[fut] = (task, time.perf_counter())
         except BrokenProcessPool:
@@ -1122,8 +1129,7 @@ class Runner:
             for fut in done:
                 task, submitted = futmap[fut]
                 try:
-                    result, wall = fut.result()
-                    error = None
+                    result, wall, error = fut.result()
                 except concurrent.futures.CancelledError:
                     continue
                 except BrokenProcessPool:
@@ -1139,15 +1145,10 @@ class Runner:
                     # catches the actual worker-killer
                     unfinished.append(task)
                     continue
-                except Exception as exc:
+                except Exception as exc:  # transport, e.g. unpicklable result
                     result, wall = None, time.perf_counter() - submitted
-                    error = "".join(
-                        traceback.format_exception_only(type(exc), exc)
-                    ).strip()
-                self._settle(
-                    task.ctx, task.cell, task.key, task.settled,
-                    result, wall, error, task.ckpt,
-                )
+                    error = _format_error(exc)
+                self._settle(task, result, wall, error)
             if self.cell_timeout_s is not None and pending_futs:
                 now = time.monotonic()
                 for fut in list(pending_futs):
@@ -1162,15 +1163,11 @@ class Runner:
                         pending_futs.discard(fut)
                         hung.append(fut)
                         self._settle(
-                            task.ctx,
-                            task.cell,
-                            task.key,
-                            task.settled,
+                            task,
                             None,
                             self.cell_timeout_s,
                             f"TimeoutError: cell exceeded "
                             f"{self.cell_timeout_s:.1f} s budget",
-                            task.ckpt,
                         )
                 if pending_futs and sum(
                     1 for f in hung if f.running()
@@ -1205,17 +1202,16 @@ class Runner:
         """After a pool break, settle what finished; queue the rest.
 
         A future that completed before the break still holds its result
-        (or its genuine scenario exception, which quarantines as usual);
-        anything cancelled, failed-by-the-break, or still nominally
-        pending is appended to ``unfinished`` for resubmission.
+        (or its quarantined scenario error, settled as usual); anything
+        cancelled, failed-by-the-break, or still nominally pending is
+        appended to ``unfinished`` for resubmission.
         """
         for fut, (task, submitted) in futmap.items():
             if not fut.done():
                 unfinished.append(task)
                 continue
             try:
-                result, wall = fut.result(timeout=0)
-                error = None
+                result, wall, error = fut.result(timeout=0)
             except (
                 concurrent.futures.CancelledError,
                 concurrent.futures.TimeoutError,
@@ -1223,15 +1219,10 @@ class Runner:
             ):
                 unfinished.append(task)
                 continue
-            except Exception as exc:
+            except Exception as exc:  # transport, e.g. unpicklable result
                 result, wall = None, time.perf_counter() - submitted
-                error = "".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip()
-            self._settle(
-                task.ctx, task.cell, task.key, task.settled,
-                result, wall, error, task.ckpt,
-            )
+                error = _format_error(exc)
+            self._settle(task, result, wall, error)
 
     # -- pipelines ---------------------------------------------------------
 
@@ -1248,12 +1239,10 @@ class Runner:
         through the cache independently; a stage whose upstream is
         unchanged and whose own cells are cached executes nothing.
 
-        With ``jobs == 1`` stages run one after another in topological
-        order.  With ``jobs > 1`` the ready-set DAG scheduler dispatches
-        cells from *every* runnable stage into one shared worker pool —
-        sibling stages execute side by side, and a stage opens the
-        moment the artifact digests it needs settle.  Both paths produce
-        byte-identical cell keys, fingerprints, and artifacts.
+        Every stage rides the one execution loop: a stage opens the
+        moment the artifact digests it needs settle, and batches mix
+        cells from every open stage — under ``jobs > 1`` sibling stages
+        share the worker pool side by side.
 
         A stage that settles with quarantined cells *cancels* its
         artifact-consuming dependents (transitively): their cells settle
@@ -1266,14 +1255,21 @@ class Runner:
         stages come back as hits).
         """
         t0 = time.perf_counter()
-        plan = self._pipeline_plan(pipeline)
-        if self.jobs == 1:
-            stages = self._run_pipeline_serial(pipeline, plan, force)
-        else:
-            stages = self._run_pipeline_dag(pipeline, plan, force)
+        runs = {
+            key: _StageRun(key=key, spec=spec, needs=needs)
+            for key, spec, needs, _external in self._pipeline_plan(pipeline)
+        }
+        sets: dict[str, ArtifactSet] = {}
+        #: stage key -> why consumers of it must cancel
+        failed: dict[str, str] = {}
+        self._schedule(
+            runs,
+            lambda: self._open_ready_stages(runs, sets, failed, force),
+            lambda run: self._finalize_stage(pipeline, run, sets, failed),
+        )
         return PipelineResult(
             pipeline=pipeline,
-            stages=stages,
+            stages={key: run.campaign for key, run in runs.items()},
             wall_s=time.perf_counter() - t0,
         )
 
@@ -1306,154 +1302,8 @@ class Runner:
             spec=spec, cells=cells, wall_s=0.0, fingerprint=None
         )
 
-    def _run_pipeline_serial(
-        self,
-        pipeline: PipelineSpec,
-        plan: list[tuple[str, ExperimentSpec, tuple[str, ...], bool]],
-        force: bool,
-    ) -> dict[str, CampaignResult]:
-        """The ``jobs == 1`` path: one stage after another, plan order."""
-        campaigns: dict[str, CampaignResult] = {}
-        sets: dict[str, ArtifactSet] = {}
-        #: stage key -> why consumers of it must cancel
-        failed: dict[str, str] = {}
-        for key, spec, needs, _external in plan:
-            # needs on a plain scenario only order the stage; the sets
-            # (and the digest folding) are for artifact consumers
-            consumes = scenario_needs_artifacts(spec.scenario)
-            blocker = (
-                next((n for n in needs if n in failed), None)
-                if consumes
-                else None
-            )
-            if blocker is not None:
-                campaigns[key] = self._cancelled_campaign(
-                    spec, blocker, failed[blocker]
-                )
-                failed[key] = "was cancelled"
-                continue
-            inputs = (
-                {need: sets[need] for need in needs}
-                if needs and consumes
-                else None
-            )
-            campaign = self.run(spec, force=force, inputs=inputs)
-            campaigns[key] = campaign
-            if campaign.n_failed:
-                failed[key] = (
-                    f"settled with {campaign.n_failed} quarantined cell(s)"
-                )
-            elif self._is_needed(pipeline, key):
-                sets[key] = campaign.artifact_set(name=key)
-        return campaigns
-
-    def _run_pipeline_dag(
-        self,
-        pipeline: PipelineSpec,
-        plan: list[tuple[str, ExperimentSpec, tuple[str, ...], bool]],
-        force: bool,
-    ) -> dict[str, CampaignResult]:
-        """The ``jobs > 1`` path: ready-set scheduling, one shared pool.
-
-        Every iteration opens whatever stages became runnable (their
-        needs' digests settled), gathers pending cells from *all* open
-        stages in plan order, cuts one mixed batch, and drains it on the
-        pipeline-wide pool.  Stage completion, cancellation, and the
-        requeue/recycle machinery all happen between batches, so the
-        scheduler state is single-threaded and easy to reason about.
-        """
-        runs: dict[str, _StageRun] = {}
-        for key, spec, needs, external in plan:
-            runs[key] = _StageRun(
-                key=key, spec=spec, needs=needs, external=external
-            )
-        sets: dict[str, ArtifactSet] = {}
-        failed: dict[str, str] = {}
-        batch_size = self.jobs * self.chunk_size
-        manager = None
-        start_times = None
-        if self.cell_timeout_s is not None:
-            manager = multiprocessing.Manager()
-            start_times = manager.dict()
-        pool_retries: dict[tuple[str | None, int], int] = {}
-        pool = self._new_pool()
-        try:
-            with _SignalDrain() as drain:
-                while not all(r.finished for r in runs.values()):
-                    self._open_ready_stages(pipeline, runs, sets, failed, force)
-                    if all(r.finished for r in runs.values()):
-                        break
-                    if drain.triggered:
-                        raise self._drain_pipeline(runs, drain)
-                    # candidate cells from every open stage, plan order;
-                    # the hook (tests) may permute them — any legal
-                    # interleaving must produce identical results
-                    by_id: dict[
-                        tuple[str, int], tuple[_StageRun, Cell, str | None]
-                    ] = {}
-                    order: list[tuple[str, int]] = []
-                    for run in runs.values():
-                        if run.opened and not run.finished:
-                            for cell, key in run.pending:
-                                order.append((run.key, cell.index))
-                                by_id[(run.key, cell.index)] = (run, cell, key)
-                    if self.schedule_hook is not None:
-                        order = [tuple(p) for p in self.schedule_hook(list(order))]
-                    if not order:
-                        raise RuntimeError(
-                            "internal error: DAG scheduler stalled with "
-                            "unfinished stages and no dispatchable cells"
-                        )
-                    tasks: list[_Task] = []
-                    taken: dict[str, set[int]] = {}
-                    for stage_key, index in order[:batch_size]:
-                        run, cell, key = by_id[(stage_key, index)]
-                        taken.setdefault(stage_key, set()).add(index)
-                        tasks.append(
-                            self._task(
-                                run.ctx, cell, key, run.settled, run.ckpt,
-                                stage=run.key,
-                            )
-                        )
-                    for stage_key, indices in taken.items():
-                        run = runs[stage_key]
-                        run.pending = [
-                            (c, k) for c, k in run.pending
-                            if c.index not in indices
-                        ]
-                        if run.ckpt is not None:
-                            run.ckpt.begin_batch(sorted(indices))
-                    hung, broken, unfinished = self._drain_batch(
-                        pool, tasks, drain, start_times
-                    )
-                    if drain.triggered:
-                        raise self._drain_pipeline(runs, drain)
-                    for task in self._requeue(unfinished, broken, pool_retries):
-                        runs[task.stage].pending.insert(
-                            0, (task.cell, task.key)
-                        )
-                    for run in runs.values():
-                        if (
-                            run.opened
-                            and not run.finished
-                            and not run.pending
-                            and len(run.settled) == len(run.cells)
-                        ):
-                            self._finalize_stage(pipeline, run, sets, failed)
-                    if (hung or broken) and not all(
-                        r.finished for r in runs.values()
-                    ):
-                        self._kill_pool(pool)
-                        pool = self._new_pool()
-        finally:
-            self._kill_pool(pool)
-            if manager is not None:
-                manager.shutdown()
-        return {key: run.campaign for key, run in runs.items()}
-
     def _open_ready_stages(
         self,
-        pipeline: PipelineSpec,
         runs: dict[str, _StageRun],
         sets: dict[str, ArtifactSet],
         failed: dict[str, str],
@@ -1461,47 +1311,38 @@ class Runner:
     ) -> None:
         """Open every stage whose needs settled; cancel the doomed ones.
 
-        Runs to a fixpoint: opening a fully-cached stage finalizes it
-        immediately, which may unblock (or doom) further stages in the
-        same pass.  A consumer cancels as soon as *any* needed stage is
-        in ``failed`` — it never waits for its other needs, so a broken
+        One pass in plan order suffices — the plan is topological, so a
+        cancellation reaches its dependents within the pass — and the
+        loop calls back after sealing stages, which may unblock more.
+        A consumer cancels as soon as *any* needed stage is in
+        ``failed`` — it never waits for its other needs, so a broken
         grid propagates promptly instead of starving dependents.
         """
-        progressed = True
-        while progressed:
-            progressed = False
-            for run in runs.values():
-                if run.finished or run.opened:
-                    continue
-                consumes = scenario_needs_artifacts(run.spec.scenario)
-                blocker = (
-                    next((n for n in run.needs if n in failed), None)
-                    if consumes
-                    else None
+        for run in runs.values():
+            if run.finished or run.opened:
+                continue
+            consumes = scenario_needs_artifacts(run.spec.scenario)
+            blocker = (
+                next((n for n in run.needs if n in failed), None)
+                if consumes
+                else None
+            )
+            if blocker is not None:
+                run.campaign = self._cancelled_campaign(
+                    run.spec, blocker, failed[blocker]
                 )
-                if blocker is not None:
-                    run.campaign = self._cancelled_campaign(
-                        run.spec, blocker, failed[blocker]
-                    )
-                    run.cancelled = True
-                    failed[run.key] = "was cancelled"
-                    progressed = True
-                    continue
-                if any(not runs[n].finished for n in run.needs):
-                    continue
-                inputs = (
-                    {n: sets[n] for n in run.needs}
-                    if run.needs and consumes
-                    else None
-                )
-                run.t0 = time.perf_counter()
-                run.ctx, run.cells, run.ckpt, run.settled, run.pending = (
-                    self._prepare(run.spec, force, inputs)
-                )
-                run.opened = True
-                progressed = True
-                if not run.pending:
-                    self._finalize_stage(pipeline, run, sets, failed)
+                failed[run.key] = "was cancelled"
+                continue
+            if any(not runs[n].finished for n in run.needs):
+                continue
+            # needs on a plain scenario only order the stage; the sets
+            # (and the digest folding) are for artifact consumers
+            inputs = (
+                {n: sets[n] for n in run.needs}
+                if run.needs and consumes
+                else None
+            )
+            self._open(run, force, inputs)
 
     def _finalize_stage(
         self,
@@ -1511,34 +1352,13 @@ class Runner:
         failed: dict[str, str],
     ) -> None:
         """Seal a fully-settled stage and publish its artifacts/verdict."""
-        run.campaign = self._finish(
-            run.ctx, run.cells, run.ckpt, run.settled, run.t0
-        )
+        self._finish(run)
         if run.campaign.n_failed:
             failed[run.key] = (
                 f"settled with {run.campaign.n_failed} quarantined cell(s)"
             )
         elif self._is_needed(pipeline, run.key):
             sets[run.key] = run.campaign.artifact_set(name=run.key)
-
-    def _drain_pipeline(
-        self, runs: dict[str, _StageRun], drain: _SignalDrain
-    ) -> CampaignInterrupted:
-        """Flush every open journal; report the first in-flight stage."""
-        for run in runs.values():
-            if run.opened and not run.finished and run.ckpt is not None:
-                run.ckpt.flush()
-        for run in runs.values():
-            if run.opened and not run.finished:
-                return self._interrupted(
-                    run.spec, drain.signum, run.cells, run.settled, run.ckpt
-                )
-        for run in runs.values():  # pragma: no cover - drain before open
-            if not run.finished:
-                return self._interrupted(
-                    run.spec, drain.signum, run.spec.cells(), {}, None
-                )
-        raise AssertionError("drain with every stage finished")
 
     def dry_run(
         self, target: ExperimentSpec | PipelineSpec

@@ -21,7 +21,10 @@ be compared on identical workloads:
 
 :func:`make_scheduler` is the single factory every entry point (CLI
 ``--scheduler``, spec ``scheduler`` params, the sim) resolves names
-through; unknown names raise with the valid choices listed.
+through; unknown names raise with the valid choices listed.  The
+policy comparison campaign is :func:`repro.sched.compare.run_sched_comparison`
+(not re-exported here: it drives the service layer, which imports this
+package).
 """
 
 from .base import (
@@ -50,15 +53,5 @@ __all__ = [
     "OnlineThroughputPredictor",
     "FixedRatePredictor",
     "prediction_error_cost_curve",
-    "run_sched_comparison",
 ]
 
-
-def __getattr__(name: str):
-    # compare imports loadtest (service layer), which imports this
-    # package; resolve lazily to keep the import graph acyclic
-    if name == "run_sched_comparison":
-        from .compare import run_sched_comparison
-
-        return run_sched_comparison
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

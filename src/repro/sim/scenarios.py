@@ -18,10 +18,9 @@ Two scenarios:
 Both return the transfer log *and* enough context (link series, category
 masks) for the core analyses to run unchanged.
 
-The chaos and profiling campaign machinery that used to live here moved
-to :mod:`repro.experiments.campaigns` (the declarative experiment
-framework); the public names are re-exported unchanged for callers that
-import them from this module.
+The chaos and profiling campaigns live in
+:mod:`repro.experiments.campaigns`; the scheduler comparison in
+:mod:`repro.sched.compare`.
 """
 
 from __future__ import annotations
@@ -46,45 +45,7 @@ __all__ = [
     "anl_nersc_mechanistic",
     "ReplayScenario",
     "vc_replay_scenario",
-    "ChaosConfig",
-    "ChaosReport",
-    "run_chaos",
-    "chaos_sweep",
-    "ProfileReport",
-    "profile_campaign",
-    "run_sched_comparison",
 ]
-
-#: campaign names that moved to the experiment framework, re-exported
-#: lazily (PEP 562) so importing this module does not pull the whole
-#: experiments package in — that would be a circular import, since the
-#: campaigns module itself builds on :mod:`repro.sim`
-_MOVED_TO_CAMPAIGNS = (
-    "ChaosConfig",
-    "ChaosReport",
-    "run_chaos",
-    "chaos_sweep",
-    "ProfileReport",
-    "profile_campaign",
-)
-
-
-#: scheduler-comparison campaigns live in :mod:`repro.sched`; the sim
-#: asks the same scheduler objects the service daemon uses, so the
-#: comparison entry point is re-exported here alongside the chaos ones
-_FROM_SCHED = ("run_sched_comparison",)
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_CAMPAIGNS:
-        from ..experiments import campaigns
-
-        return getattr(campaigns, name)
-    if name in _FROM_SCHED:
-        from .. import sched
-
-        return getattr(sched, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -190,26 +190,3 @@ class TestManagedChaosDeterminism:
         assert report.n_files_moved == 6
         assert report.n_flaps_injected == 0
         assert report.inflation == pytest.approx(1.0)
-
-
-class TestLegacyImportSurface:
-    def test_scenarios_module_lazy_reexports(self):
-        import repro.experiments.campaigns as campaigns
-        import repro.sim.scenarios as scenarios
-
-        assert scenarios.ChaosConfig is campaigns.ChaosConfig
-        assert scenarios.run_chaos is campaigns.run_chaos
-        assert scenarios.chaos_sweep is campaigns.chaos_sweep
-        assert scenarios.ProfileReport is campaigns.ProfileReport
-        assert scenarios.profile_campaign is campaigns.profile_campaign
-
-    def test_from_import_still_works(self):
-        from repro.sim.scenarios import ChaosConfig as LegacyConfig
-
-        assert LegacyConfig is ChaosConfig
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.sim.scenarios as scenarios
-
-        with pytest.raises(AttributeError):
-            scenarios.definitely_not_a_symbol

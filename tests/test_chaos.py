@@ -16,11 +16,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.experiments.campaigns import ChaosConfig, chaos_sweep, run_chaos
 from repro.gridftp.client import TransferJob
 from repro.gridftp.reliability import RestartPolicy
 from repro.net.topology import esnet_like
 from repro.sim.experiment import FluidSimulator
-from repro.sim.scenarios import ChaosConfig, chaos_sweep, default_dtns, run_chaos
+from repro.sim.scenarios import default_dtns
 from repro.vc.circuits import VirtualCircuit
 
 

@@ -461,11 +461,15 @@ class TestTimeoutFromExecutionStart:
             c.error for c in campaign.cells if not c.ok
         ]
 
-    def test_single_worker_queue_is_the_sharpest_pin(self):
+    def test_single_worker_queue_is_the_sharpest_pin(self, monkeypatch):
         # with one worker the second cell waits out the whole first cell
-        # before starting; jobs=1 routes serial in run(), so drive the
-        # parallel executor directly to pin its budget clock
-        from repro.experiments.runner import _RunContext, _SignalDrain
+        # before starting.  jobs=1 picks the in-process executor, so run
+        # the pool executor (jobs=2) on a one-worker pool: both cells
+        # land in one batch, and the second finishes ~1.21 s after its
+        # submission — past its 1.0 s budget if the clock started there
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.experiments.runner import _worker_init
 
         spec = ExperimentSpec(
             name="ck-queue-1w",
@@ -473,17 +477,17 @@ class TestTimeoutFromExecutionStart:
             axes={"sleep_s": (0.6, 0.61)},
             seed=0,
         )
-        runner = Runner(jobs=1, chunk_size=2, cell_timeout_s=1.0)
-        settled = {}
-        pending = [(cell, None) for cell in spec.cells()]
-        with _SignalDrain() as drain:
-            runner._run_parallel(
-                _RunContext(spec=spec), pending, settled, None, drain
-            )
-        assert len(settled) == 2
-        assert all(r.ok for r in settled.values()), {
-            i: r.error for i, r in settled.items() if not r.ok
-        }
+        runner = Runner(jobs=2, chunk_size=1, cell_timeout_s=1.0)
+        monkeypatch.setattr(
+            runner,
+            "_new_pool",
+            lambda: ProcessPoolExecutor(max_workers=1, initializer=_worker_init),
+        )
+        campaign = runner.run(spec)
+        assert campaign.n_cells == 2
+        assert campaign.n_failed == 0, [
+            c.error for c in campaign.cells if not c.ok
+        ]
 
     def test_genuinely_slow_cell_still_quarantined(self):
         spec = ExperimentSpec(

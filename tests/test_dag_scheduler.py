@@ -128,8 +128,17 @@ class TestInterleavingInvariance:
         assert list(ck.glob("*.jsonl")) == []  # journals consumed
         return res
 
-    @pytest.mark.parametrize("variant", ["reversed", "shuffled", "alternate"])
-    def test_any_interleaving_matches_serial(self, tmp_path, variant):
+    @pytest.mark.parametrize(
+        "variant, jobs",
+        [
+            pytest.param("reversed", 2, id="reversed"),
+            pytest.param("shuffled", 2, id="shuffled"),
+            pytest.param("alternate", 2, id="alternate"),
+            # the in-process executor honours the hook too
+            pytest.param("alternate", 1, id="alternate-jobs1"),
+        ],
+    )
+    def test_any_interleaving_matches_serial(self, tmp_path, variant, jobs):
         reference = self._serial_reference(tmp_path)
 
         def hook(order):
@@ -154,7 +163,7 @@ class TestInterleavingInvariance:
 
         ck = tmp_path / f"{variant}-ck"
         runner = Runner(
-            jobs=2,
+            jobs=jobs,
             cache=ResultCache(tmp_path / variant),
             checkpoint_dir=ck,
         )

@@ -49,6 +49,14 @@ def _t_sleep(params, seed):
     return {"slept": params["sleep_s"]}
 
 
+@register_scenario("t-sleep-or-boom")
+def _t_sleep_or_boom(params, seed):
+    if params["sleep_s"] < 0:
+        raise ValueError("negative sleep")
+    time.sleep(params["sleep_s"])
+    return {"slept": params["sleep_s"]}
+
+
 # -- spec loading and validation ---------------------------------------------
 
 
@@ -371,6 +379,21 @@ class TestRunnerParallel:
         assert not slow.ok
         assert "TimeoutError" in slow.error
         assert "0.3 s budget" in slow.error
+
+    def test_quarantined_wall_excludes_queue_time(self):
+        # two workers, and the raising cells queue behind two 0.6 s
+        # sleeps: their wall_s must be their own (near-zero) execution
+        # time, not the time since submission
+        spec = ExperimentSpec(
+            name="queued-boom",
+            scenario="t-sleep-or-boom",
+            axes={"sleep_s": (0.6, 0.61, -1.0, -2.0)},
+        )
+        campaign = Runner(jobs=2).run(spec)
+        assert [c.ok for c in campaign.cells] == [True, True, False, False]
+        for cell in campaign.cells[2:]:
+            assert "negative sleep" in cell.error
+            assert cell.wall_s < 0.25, cell.wall_s
 
     def test_bad_runner_args(self):
         with pytest.raises(ValueError):

@@ -243,7 +243,7 @@ class TestCostCurve:
 
 class TestComparisonCampaign:
     def test_three_way_comparison_reports_deltas(self):
-        from repro.sched import run_sched_comparison
+        from repro.sched.compare import run_sched_comparison
 
         out = run_sched_comparison(
             {"n_requests": 60, "rate_per_s": 0.5, "queue_limit": 10}, seed=11
@@ -265,7 +265,7 @@ class TestComparisonCampaign:
 
     def test_same_workload_every_policy(self):
         """The offered census is policy-independent (same schedule/mix)."""
-        from repro.sched import run_sched_comparison
+        from repro.sched.compare import run_sched_comparison
 
         out = run_sched_comparison(
             {"n_requests": 80, "rate_per_s": 1.0, "invalid_frac": 0.1}, seed=3
@@ -279,18 +279,12 @@ class TestComparisonCampaign:
         assert offered == {80}
 
     def test_unknown_policy_fails_fast(self):
-        from repro.sched import run_sched_comparison
+        from repro.sched.compare import run_sched_comparison
 
         with pytest.raises(ValueError, match="unknown scheduler"):
             run_sched_comparison(
                 {"n_requests": 10, "schedulers": ["fcfs", "lottery"]}, seed=0
             )
-
-    def test_scenarios_reexport(self):
-        from repro.sched import run_sched_comparison
-        from repro.sim import scenarios
-
-        assert scenarios.run_sched_comparison is run_sched_comparison
 
 
 class TestLedgerInvariantProperties:
