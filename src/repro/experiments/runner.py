@@ -111,9 +111,12 @@ _MAX_POOL_RETRIES = 2
 
 def _worker_init() -> None:
     """Worker processes ignore SIGINT so a Ctrl-C (delivered to the whole
-    process group) leaves in-flight cells drainable by the parent."""
+    process group) leaves in-flight cells drainable by the parent, and
+    drop the parent's SIGTERM drain handler so a pool recycle's
+    ``terminate()`` ends an idle worker quietly."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
 

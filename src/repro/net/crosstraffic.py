@@ -101,15 +101,6 @@ def generate_cross_traffic(
     dst_off = rng.integers(1, len(sites), size=n)
     dst_idx = (src_idx + dst_off) % len(sites)
 
-    # cache routes per site pair: the graph is static and pair count tiny
-    path_cache: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    def route(src: str, dst: str) -> tuple[str, ...]:
-        key = (src, dst)
-        if key not in path_cache:
-            path_cache[key] = tuple(topology.path(src, dst))
-        return path_cache[key]
-
     flows = []
     for i in range(n):
         duration = sizes[i] * 8.0 / rates[i]
@@ -118,15 +109,15 @@ def generate_cross_traffic(
         if duration <= 0:
             continue
         nbytes = rates[i] * duration / 8.0
-        path = route(sites[src_idx[i]], sites[dst_idx[i]])
+        path = topology.path(sites[src_idx[i]], sites[dst_idx[i]])
         flow = BackgroundFlow(
             start=float(starts[i]), duration=float(duration),
-            nbytes=float(nbytes), path=path,
+            nbytes=float(nbytes), path=tuple(path),
         )
         flows.append(flow)
         if collector is not None:
             collector.add_bytes(
-                topology.path_links(list(path)), flow.start,
+                topology.path_links(path), flow.start,
                 flow.start + flow.duration, flow.nbytes,
             )
     return flows

@@ -10,10 +10,7 @@ least-congested choice given per-link committed bandwidth.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
-
-import networkx as nx
 
 from .topology import Topology
 
@@ -52,8 +49,7 @@ def k_shortest_paths(
     """Up to ``k`` loop-free paths in increasing propagation delay."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    gen = nx.shortest_simple_paths(topology.graph, src, dst, weight="delay_s")
-    return list(itertools.islice(gen, k))
+    return [list(p) for p in topology.routes(src, dst, k)]
 
 
 def least_congested_path(

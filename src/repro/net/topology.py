@@ -14,6 +14,7 @@ of the provider network and carry SNMP counters like any backbone link.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import networkx as nx
 
@@ -39,11 +40,18 @@ class Link:
 
 
 class Topology:
-    """Mutable site/router graph with capacity and delay annotations."""
+    """Mutable site/router graph with capacity and delay annotations.
+
+    Route queries are memoized per ``(src, dst, k)``: the graph only
+    changes through :meth:`add_site`, :meth:`add_router` and
+    :meth:`add_link`, and each of them clears the memo.
+    """
 
     def __init__(self) -> None:
         self.graph = nx.Graph()
         self._host_ids: dict[str, int] = {}
+        #: (src, dst, k) -> routes; k=None is the single min-delay route
+        self._routes: dict[tuple, tuple[tuple[str, ...], ...]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -52,6 +60,7 @@ class Topology:
         if name in self._host_ids:
             raise ValueError(f"duplicate site {name!r}")
         self.graph.add_node(name, kind="site")
+        self._routes.clear()
         host_id = len(self._host_ids)
         self._host_ids[name] = host_id
         return host_id
@@ -61,6 +70,7 @@ class Topology:
         if name in self.graph:
             raise ValueError(f"duplicate node {name!r}")
         self.graph.add_node(name, kind="router")
+        self._routes.clear()
 
     def add_link(
         self, u: str, v: str, capacity_bps: float = 10e9, delay_s: float = 0.005
@@ -73,6 +83,7 @@ class Topology:
             raise ValueError("capacity must be positive and delay non-negative")
         link = Link(u, v, capacity_bps, delay_s)
         self.graph.add_edge(u, v, capacity_bps=capacity_bps, delay_s=delay_s)
+        self._routes.clear()
         return link
 
     # -- queries ---------------------------------------------------------------
@@ -99,9 +110,28 @@ class Topology:
             for u, v, d in self.graph.edges(data=True)
         ]
 
+    def routes(self, src: str, dst: str, k: int | None) -> tuple[tuple[str, ...], ...]:
+        """Memoized routes between two nodes, as immutable node tuples.
+
+        ``k=None`` gives the one minimum-delay route (Dijkstra, the IP
+        default); an integer ``k`` gives up to ``k`` loop-free paths in
+        increasing delay (Yen).
+        """
+        key = (src, dst, k)
+        found = self._routes.get(key)
+        if found is None:
+            if k is None:
+                paths = [nx.shortest_path(self.graph, src, dst, weight="delay_s")]
+            else:
+                paths = itertools.islice(
+                    nx.shortest_simple_paths(self.graph, src, dst, weight="delay_s"), k
+                )
+            found = self._routes[key] = tuple(tuple(p) for p in paths)
+        return found
+
     def path(self, src: str, dst: str) -> list[str]:
         """Minimum-propagation-delay path (the IP-routed default route)."""
-        return nx.shortest_path(self.graph, src, dst, weight="delay_s")
+        return list(self.routes(src, dst, None)[0])
 
     def path_links(self, nodes: list[str]) -> list[tuple[str, str]]:
         """Canonical link keys along a node path."""

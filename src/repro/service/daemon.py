@@ -75,6 +75,11 @@ logger = logging.getLogger("repro.service")
 #: exit code after a graceful drain (EX_TEMPFAIL, the campaign contract)
 EXIT_DRAINED = 75
 
+#: control-socket listen backlog.  asyncio's default of 100 lets a burst
+#: of simultaneous connects overflow the kernel's accept queue, so clients
+#: see resets instead of a 429-style shed; Linux caps this at somaxconn
+LISTEN_BACKLOG = 4096
+
 
 class InjectedCrash(RuntimeError):
     """The chaos op's panic: deliberately escapes the work loop."""
@@ -334,7 +339,7 @@ class TransferDaemon:
             os.unlink(self.config.socket_path)
         self._server = await asyncio.start_unix_server(
             self._handle_conn, path=self.config.socket_path,
-            limit=MAX_LINE_BYTES,
+            limit=MAX_LINE_BYTES, backlog=LISTEN_BACKLOG,
         )
         for i in range(self.config.workers):
             name = f"worker-{i}"

@@ -345,7 +345,8 @@ class LoadTestReport:
     mode: str                  # "live" | "sim"
     arrivals: str
     time_scale: float
-    #: full submission ledger: offered == accepted + shed + invalid
+    #: full submission ledger:
+    #: offered == accepted + shed + invalid + transport_error
     n_offered: int
     n_accepted: int
     n_shed: int
@@ -390,6 +391,9 @@ class LoadTestReport:
     goodput_bps: float = 0.0
     #: Jain fairness index over per-tenant success counts (None untracked)
     fairness_jain: float | None = None
+    #: submissions whose connection was refused or reset before a reply
+    #: (live driver only; the twin has no transport)
+    n_transport_error: int = 0
 
     @property
     def n_settled(self) -> int:
@@ -419,11 +423,15 @@ class LoadTestReport:
 
     def validate(self) -> None:
         """Raise ``AssertionError`` on any violated service contract."""
-        if self.n_offered != self.n_accepted + self.n_shed + self.n_invalid:
+        if self.n_offered != (
+            self.n_accepted + self.n_shed + self.n_invalid
+            + self.n_transport_error
+        ):
             raise AssertionError(
                 f"submission ledger broken: offered {self.n_offered} != "
                 f"accepted {self.n_accepted} + shed {self.n_shed} + "
-                f"invalid {self.n_invalid}"
+                f"invalid {self.n_invalid} + transport error "
+                f"{self.n_transport_error}"
             )
         if sum(self.shed.values()) != self.n_shed:
             raise AssertionError("shed census disagrees with n_shed")
@@ -517,6 +525,7 @@ def _report_from_counts(
             bytes_moved * 8.0 / duration_s if duration_s > 0 else 0.0
         ),
         fairness_jain=_jain_index(tenant_succeeded),
+        n_transport_error=int(counts.get("n_transport_error", 0)),
     )
 
 
@@ -563,6 +572,11 @@ def _daemon_config(
     )
 
 
+#: response key the live driver sets on a submission whose connection
+#: failed before a reply (never a key of a daemon response)
+_TRANSPORT_ERROR = "transport_error"
+
+
 async def _drive_open_loop(
     socket_path: str,
     schedule_virtual: np.ndarray,
@@ -583,19 +597,26 @@ async def _drive_open_loop(
     async def fire(i: int) -> None:
         t_sched = t0 + float(schedule_virtual[i]) / time_scale
         item = mix[i]
-        client = await AsyncServiceClient.connect(socket_path)
         try:
-            resp = await asyncio.wait_for(
-                client.submit(
-                    item["file_sizes"],
-                    tenant=item["tenant"],
-                    deadline_s=item["deadline_s"],
-                    wait=True,
-                ),
-                timeout=request_timeout_s,
-            )
-        finally:
-            await client.close()
+            client = await AsyncServiceClient.connect(socket_path)
+            try:
+                resp = await asyncio.wait_for(
+                    client.submit(
+                        item["file_sizes"],
+                        tenant=item["tenant"],
+                        deadline_s=item["deadline_s"],
+                        wait=True,
+                    ),
+                    timeout=request_timeout_s,
+                )
+            finally:
+                await client.close()
+        except TimeoutError:
+            raise  # a hung daemon is a failure, not a transport error
+        except (OSError, asyncio.IncompleteReadError) as exc:
+            # refused or reset: counted in the ledger, never fatal
+            responses[i] = {"ok": False, _TRANSPORT_ERROR: repr(exc)}
+            return
         responses[i] = resp
         latencies[i] = loop.time() - t_sched
 
@@ -649,8 +670,8 @@ def _classify(
     """Client-side censuses from the per-request responses."""
     counts = {
         "n_offered": len(responses), "n_accepted": 0, "n_shed": 0,
-        "n_invalid": 0, "n_succeeded": 0, "n_failed": 0, "n_expired": 0,
-        "n_checkpointed": 0,
+        "n_invalid": 0, "n_transport_error": 0, "n_succeeded": 0,
+        "n_failed": 0, "n_expired": 0, "n_checkpointed": 0,
     }
     shed: dict[str, int] = {}
     paths: dict[str, int] = {}
@@ -658,7 +679,9 @@ def _classify(
     for resp, lat in zip(responses, latencies):
         if resp is None:
             raise AssertionError("a submission never got a response")
-        if resp.get("ok"):
+        if _TRANSPORT_ERROR in resp:
+            counts["n_transport_error"] += 1
+        elif resp.get("ok"):
             counts["n_accepted"] += 1
             state = resp.get("state")
             if state not in ("succeeded", "failed", "expired", "checkpointed"):
@@ -765,17 +788,24 @@ def run_loadtest(
     counts, shed, paths, retry_after_max = _classify(
         raw["responses"], raw["latencies"], recorder
     )
-    # the daemon's own ledger must agree with the client-side censuses
+    # the daemon's own ledger must agree with the client-side censuses;
+    # a submission whose reply was lost to a reset may still have reached
+    # the daemon, so each transport error may hide one daemon-side count
     dm = raw["daemon_metrics"]
-    for ours, theirs in (
-        ("n_accepted", "n_accepted"), ("n_shed", "n_shed"),
-        ("n_invalid", "n_invalid"),
-    ):
-        if counts[ours] != dm[theirs]:
+    unseen = 0
+    for key in ("n_accepted", "n_shed", "n_invalid"):
+        if dm[key] < counts[key]:
             raise AssertionError(
-                f"client-side {ours}={counts[ours]} disagrees with the "
-                f"daemon's {theirs}={dm[theirs]}"
+                f"client-side {key}={counts[key]} disagrees with the "
+                f"daemon's {key}={dm[key]}"
             )
+        unseen += dm[key] - counts[key]
+    if unseen > counts["n_transport_error"]:
+        raise AssertionError(
+            f"the daemon counted {unseen} submission(s) the client never "
+            f"saw answered, but only {counts['n_transport_error']} hit a "
+            f"transport error"
+        )
     # the bound comes from the daemon's own /status (works for external
     # daemons too); fall back to the configured limit if sampling missed
     bound = int(raw["bound_seen"]) or int(params.get("queue_limit", 16))

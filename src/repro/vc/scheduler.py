@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 
 from ..net.topology import Topology
 
@@ -43,40 +44,76 @@ class _LinkBook:
 
     Reservations are kept as parallel sorted-by-start lists; peak
     commitment over a window is computed by an event sweep over the
-    overlapping entries.  Scales comfortably to tens of thousands of
-    reservations per link.
+    overlapping entries.
+
+    Queries visit only entries that can overlap their window.  ``bisect``
+    on ``starts`` bounds the scan from above.  From below, ``cut`` marks
+    a prefix of entries known to end by ``watermark``: a query starting
+    at or after the watermark skips the prefix, and each query extends
+    it past entries that ended by its start.  Skipped entries are exactly
+    those the full scan would filter out, and the survivors are visited
+    in list order, so every sum and event sweep is bit-identical to a
+    scan of the whole history.
     """
 
-    __slots__ = ("starts", "ends", "rates")
+    __slots__ = ("starts", "ends", "rates", "cut", "watermark")
 
     def __init__(self) -> None:
         self.starts: list[float] = []
         self.ends: list[float] = []
         self.rates: list[float] = []
+        #: every entry before index ``cut`` ends at or before ``watermark``
+        self.cut = 0
+        self.watermark = -math.inf
 
     def add(self, start: float, end: float, rate: float) -> None:
         i = bisect.bisect_left(self.starts, start)
         self.starts.insert(i, start)
         self.ends.insert(i, end)
         self.rates.insert(i, rate)
+        if i < self.cut:
+            if end <= self.watermark:
+                self.cut += 1
+            else:
+                self.cut = i
 
     def remove(self, start: float, end: float, rate: float) -> None:
         i = bisect.bisect_left(self.starts, start)
         while i < len(self.starts) and self.starts[i] == start:
             if self.ends[i] == end and self.rates[i] == rate:
                 del self.starts[i], self.ends[i], self.rates[i]
+                if i < self.cut:
+                    self.cut -= 1
                 return
             i += 1
         raise KeyError("reservation not present on link")
 
+    def _first_live(self, t: float) -> int:
+        """Index before which no entry ends after ``t``."""
+        ends, cut = self.ends, self.cut
+        while cut < len(ends) and ends[cut] <= t:
+            if ends[cut] > self.watermark:
+                self.watermark = ends[cut]
+            cut += 1
+        self.cut = cut
+        return cut if self.watermark <= t else 0
+
+    def overlapping(self, lo: float, hi: float) -> range:
+        """Index range, in list order, holding every entry with ``end > lo``
+        and ``start < hi``."""
+        return range(self._first_live(lo), bisect.bisect_left(self.starts, hi))
+
     def peak_commitment(self, start: float, end: float) -> float:
         """Maximum committed rate at any instant of [start, end)."""
         events: list[tuple[float, float]] = []
-        for s, e, r in zip(self.starts, self.ends, self.rates):
-            if e <= start or s >= end:
-                continue
-            events.append((max(s, start), r))
-            events.append((min(e, end), -r))
+        starts, ends, rates = self.starts, self.ends, self.rates
+        for i in self.overlapping(start, end):
+            e = ends[i]
+            if e > start:
+                s, r = starts[i], rates[i]
+                # max(s, start) and min(e, end), without the call overhead
+                events.append((start if start > s else s, r))
+                events.append((end if end < e else e, -r))
         if not events:
             return 0.0
         events.sort()
@@ -84,15 +121,17 @@ class _LinkBook:
         level = 0.0
         for _, delta in events:
             level += delta
-            peak = max(peak, level)
+            if level > peak:
+                peak = level
         return peak
 
     def commitment_at(self, t: float) -> float:
         """Committed rate at instant ``t``."""
         total = 0.0
-        for s, e, r in zip(self.starts, self.ends, self.rates):
-            if s <= t < e:
-                total += r
+        ends, rates = self.ends, self.rates
+        for i in range(self._first_live(t), bisect.bisect_right(self.starts, t)):
+            if t < ends[i]:
+                total += rates[i]
         return total
 
 
@@ -168,16 +207,21 @@ class BandwidthScheduler:
         keys = self.topology.path_links(path)
         # admission must hold over [t, t + duration) on every link
         candidates = {not_before}
+        last = not_before + horizon_s
         for key in keys:
             book = self._book(key)
-            for s, e in zip(book.starts, book.ends):
+            # skipped: entries starting after last, and entries ending at
+            # or before not_before (an end at not_before is a candidate
+            # already)
+            for i in book.overlapping(not_before, math.nextafter(last, math.inf)):
+                s, e = book.starts[i], book.ends[i]
                 # commitment can only *drop* at reservation ends
-                if not_before <= e <= not_before + horizon_s:
+                if not_before <= e <= last:
                     candidates.add(e)
-                if not_before <= s <= not_before + horizon_s:
+                if not_before <= s <= last:
                     candidates.add(s)
         for t in sorted(candidates):
-            if t > not_before + horizon_s:
+            if t > last:
                 break
             fits = all(
                 rate_bps

@@ -16,7 +16,6 @@ import pytest
 
 from repro.experiments import (
     ChaosConfig,
-    ExperimentSpec,
     ManagedChaosConfig,
     ResultCache,
     Runner,

@@ -389,6 +389,7 @@ class TestSigkillResume:
             env=env,
             stdout=subprocess.PIPE,
             text=True,
+            start_new_session=True,
         )
         try:
             # wait for the campaign to actually start, then let a couple
@@ -396,7 +397,9 @@ class TestSigkillResume:
             assert child.stdout.readline().strip() == "READY"
             time.sleep(1.3)
         finally:
-            child.kill()
+            # kill the whole group: the runner's pool workers would
+            # otherwise outlive their SIGKILLed parent
+            os.killpg(child.pid, signal.SIGKILL)
             child.wait()
 
         cache = ResultCache(cache_dir)

@@ -13,6 +13,7 @@ shape), the request mix, the latency recorder, and the
   daemon's own counters and the report validates.
 """
 
+import asyncio
 import json
 import math
 
@@ -298,6 +299,20 @@ class TestSimLoadtest:
             == report.n_accepted + report.n_shed + report.n_invalid
         )
 
+    def test_sim_twin_reports_no_transport_errors(self):
+        report = _sim()
+        assert report.n_transport_error == 0
+        assert report.as_dict()["n_transport_error"] == 0
+
+    def test_ledger_counts_transport_errors(self):
+        report = _sim()
+        report.validate()
+        report.n_offered += 1
+        with pytest.raises(AssertionError, match="ledger"):
+            report.validate()
+        report.n_transport_error = 1
+        report.validate()
+
     def test_latency_domain_is_virtual(self):
         report = _sim()
         assert report.mode == "sim"
@@ -342,6 +357,40 @@ class TestLiveLoadtest:
             # at time_scale=3000 — never minutes of virtual backoff
             assert report.retry_after_max_s < 30.0
         json.dumps(report.as_dict())
+
+    def test_refused_connections_are_counted_not_fatal(self, monkeypatch):
+        from repro.service import loadtest
+
+        real_connect = loadtest.AsyncServiceClient.connect.__func__
+        n_fire = 0
+
+        async def flaky_connect(cls, socket_path):
+            # refuse every third submission's connect; the status sampler
+            # (its own task) always gets through
+            nonlocal n_fire
+            if asyncio.current_task().get_coro().__name__ == "fire":
+                n_fire += 1
+                if n_fire % 3 == 0:
+                    raise ConnectionRefusedError(111, "Connection refused")
+            return await real_connect(cls, socket_path)
+
+        monkeypatch.setattr(
+            loadtest.AsyncServiceClient, "connect", classmethod(flaky_connect)
+        )
+        report = run_loadtest(
+            {"arrivals": "poisson", "n_requests": 30, "rate_per_s": 0.08,
+             "queue_limit": 8, "tenant_quota": 4, "workers": 2,
+             "time_scale": 3000.0},
+            seed=7,
+        )
+        report.validate()
+        assert n_fire == 30
+        assert report.n_transport_error == 10
+        assert report.n_offered == 30
+        assert (
+            report.n_accepted + report.n_shed + report.n_invalid == 20
+        )
+        assert report.as_dict()["n_transport_error"] == 10
 
     def test_registered_as_a_scenario(self):
         from repro.experiments.registry import get_scenario

@@ -15,12 +15,14 @@ zero lost tasks) lives in ``test_service_daemon.py``.
 import asyncio
 import json
 import math
+import resource
 
 import pytest
 
 from repro.service.admission import AdmissionController
 from repro.service.api import (
     MAX_LINE_BYTES,
+    AsyncServiceClient,
     ServiceClient,
     decode_line,
     encode_line,
@@ -864,6 +866,51 @@ class TestDaemonIntegration:
 
 # ---------------------------------------------------------------------------
 # crash-requeue bookkeeping (the supervisor hook, driven directly)
+
+
+class TestConnectStorm:
+    """A burst of simultaneous connects must shed, never reset."""
+
+    N_CONNECTIONS = 600
+
+    def test_every_simultaneous_connection_gets_a_json_reply(self, tmp_path):
+        # client and server ends of every connection live in this process
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        need = 2 * self.N_CONNECTIONS + 256
+        if soft < need:
+            if hard != resource.RLIM_INFINITY and hard < need:
+                pytest.skip(f"needs {need} file descriptors, hard limit {hard}")
+            resource.setrlimit(resource.RLIMIT_NOFILE, (need, hard))
+        config = _config(tmp_path, queue_limit=8)
+
+        async def one():
+            client = await AsyncServiceClient.connect(config.socket_path)
+            try:
+                return await client.submit([4e9], tenant="storm")
+            finally:
+                await client.close()
+
+        async def scenario(daemon, call):
+            # every connect is issued before the daemon accepts the first
+            return await asyncio.gather(
+                *(one() for _ in range(self.N_CONNECTIONS)),
+                return_exceptions=True,
+            )
+
+        try:
+            replies, exit_code, daemon = _run_with_daemon(config, scenario)
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        errors = [r for r in replies if isinstance(r, BaseException)]
+        assert errors == []
+        accepted = [r for r in replies if r.get("ok")]
+        shed = [r for r in replies if r.get("status") == "rejected"]
+        assert len(accepted) + len(shed) == self.N_CONNECTIONS
+        assert accepted and shed
+        assert all(r["retry_after_s"] > 0 for r in shed)
+        assert exit_code == EXIT_DRAINED
+        assert daemon.metrics.n_accepted == len(accepted)
+        assert daemon.metrics.n_lost == 0
 
 
 class TestCrashRequeue:

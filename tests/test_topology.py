@@ -1,5 +1,8 @@
 """Unit tests for the topology and routing modules."""
 
+import itertools
+
+import networkx as nx
 import pytest
 
 from repro.net.routing import (
@@ -149,3 +152,61 @@ class TestRouting:
         assert least_congested_path(t, "NERSC", "ORNL", {}) == ip_route(
             t, "NERSC", "ORNL"
         )
+
+
+class TestPathMemo:
+    """Routes are memoized per topology; the memo must never go stale."""
+
+    @staticmethod
+    def _line():
+        t = Topology()
+        for site in ("A", "B"):
+            t.add_site(site)
+        t.add_router("r1")
+        t.add_link("A", "r1", delay_s=0.010)
+        t.add_link("r1", "B", delay_s=0.010)
+        return t
+
+    def test_add_link_after_a_query_changes_the_answer(self):
+        t = self._line()
+        assert t.path("A", "B") == ["A", "r1", "B"]
+        assert k_shortest_paths(t, "A", "B", k=2) == [["A", "r1", "B"]]
+        t.add_link("A", "B", delay_s=0.001)
+        assert t.path("A", "B") == ["A", "B"]
+        assert k_shortest_paths(t, "A", "B", k=2) == [
+            ["A", "B"], ["A", "r1", "B"],
+        ]
+        # a new router and links make a new, faster route
+        t.add_router("r2")
+        t.add_link("A", "r2", delay_s=0.0001)
+        t.add_link("r2", "B", delay_s=0.0001)
+        assert t.path("A", "B") == ["A", "r2", "B"]
+        assert k_shortest_paths(t, "A", "B", k=3)[0] == ["A", "r2", "B"]
+
+    def test_mutating_a_returned_path_does_not_change_the_next_answer(self):
+        t = esnet_like()
+        want_ip = t.path("NERSC", "BNL")
+        want_k = k_shortest_paths(t, "NERSC", "BNL", k=3)
+        got_ip = t.path("NERSC", "BNL")
+        got_ip.reverse()
+        got_ip.append("rt-nowhere")
+        got_k = k_shortest_paths(t, "NERSC", "BNL", k=3)
+        got_k[0].clear()
+        got_k.pop()
+        assert t.path("NERSC", "BNL") == want_ip
+        assert k_shortest_paths(t, "NERSC", "BNL", k=3) == want_k
+        assert ip_route(t, "NERSC", "BNL") == want_ip
+
+    def test_memoized_paths_match_a_fresh_search_for_every_pair(self):
+        t = esnet_like()
+        for src, dst in itertools.permutations(SITES, 2):
+            want_ip = nx.shortest_path(t.graph, src, dst, weight="delay_s")
+            for _ in range(2):  # the second round is served from the memo
+                assert t.path(src, dst) == want_ip
+            for k in range(1, 5):
+                fresh = list(itertools.islice(
+                    nx.shortest_simple_paths(t.graph, src, dst, weight="delay_s"),
+                    k,
+                ))
+                for _ in range(2):
+                    assert k_shortest_paths(t, src, dst, k) == fresh
