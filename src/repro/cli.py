@@ -290,24 +290,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     try:
-        config = DaemonConfig(
-            socket_path=args.socket,
-            workers=args.workers,
-            time_scale=args.time_scale,
-            queue_limit=args.queue_limit,
-            tenant_quota=args.tenant_quota,
-            vc_rate_bps=args.vc_rate_bps,
-            ip_rate_bps=args.ip_rate_bps,
-            default_deadline_s=args.default_deadline,
-            reject_prob=args.reject_prob,
-            setup_timeout_prob=args.timeout_prob,
-            flaps_per_hour=args.flaps_per_hour,
-            flap_duration_s=args.flap_duration,
-            drain_grace_s=args.drain_grace,
-            chaos_ops=args.chaos_ops,
-            seed=args.seed,
-            scheduler=args.scheduler,
-        )
+        config = DaemonConfig.from_params(vars(args))
     except ValueError as exc:  # e.g. an unknown --scheduler name
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -350,22 +333,10 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
     from .service.loadtest import run_loadtest, run_loadtest_sim
 
-    params = {
-        "arrivals": args.arrivals,
-        "n_requests": args.n,
-        "rate_per_s": args.rate,
-        "n_tenants": args.tenants,
-        "invalid_frac": args.invalid_frac,
-        "time_scale": args.time_scale,
-        "workers": args.workers,
-        "queue_limit": args.queue_limit,
-        "tenant_quota": args.tenant_quota,
-        "reject_prob": args.reject_prob,
-        "setup_timeout_prob": args.timeout_prob,
-        "flaps_per_hour": args.flaps_per_hour,
-        "tight_deadline_frac": args.deadline_frac,
-        "scheduler": args.scheduler,
-    }
+    # every other dest is a load-test param name; an absent flag keeps
+    # the harness default (HARNESS_DEFAULTS, then DaemonConfig's)
+    driver = ("command", "func", "mode", "socket", "seed", "max_p99")
+    params = {k: v for k, v in vars(args).items() if k not in driver}
     try:
         if args.mode == "sim":
             report = run_loadtest_sim(params, args.seed)
@@ -747,39 +718,43 @@ def build_parser() -> argparse.ArgumentParser:
                          "critical path / predicted schedule; execute nothing")
     rn.set_defaults(func=_cmd_run)
 
+    # dests are DaemonConfig field names, and an absent flag keeps the
+    # field's default: the config class is the one source of defaults
     sv = sub.add_parser(
-        "serve", help="run the long-lived transfer daemon on a Unix socket"
+        "serve", help="run the long-lived transfer daemon on a Unix socket",
+        argument_default=argparse.SUPPRESS,
     )
-    sv.add_argument("--socket", required=True,
+    sv.add_argument("--socket", dest="socket_path", required=True,
                     help="control-socket path (JSON lines, one op per line)")
-    sv.add_argument("--workers", type=int, default=4)
-    sv.add_argument("--time-scale", type=float, default=60.0,
+    sv.add_argument("--workers", type=int)
+    sv.add_argument("--time-scale", type=float,
                     help="virtual service seconds per real second")
-    sv.add_argument("--queue-limit", type=int, default=64,
+    sv.add_argument("--queue-limit", type=int,
                     help="max admitted-but-unsettled requests")
-    sv.add_argument("--tenant-quota", type=int, default=8,
+    sv.add_argument("--tenant-quota", type=int,
                     help="max outstanding requests per tenant")
-    sv.add_argument("--vc-rate-bps", type=float, default=1.6e9)
-    sv.add_argument("--ip-rate-bps", type=float, default=4e8)
-    sv.add_argument("--default-deadline", type=float, default=None,
+    sv.add_argument("--vc-rate-bps", type=float)
+    sv.add_argument("--ip-rate-bps", type=float)
+    sv.add_argument("--default-deadline", dest="default_deadline_s", type=float,
                     help="budget (virtual s) for submissions naming none")
-    sv.add_argument("--reject-prob", type=float, default=0.0,
+    sv.add_argument("--reject-prob", type=float,
                     help="per-request IDC rejection probability")
-    sv.add_argument("--timeout-prob", type=float, default=0.0,
+    sv.add_argument("--timeout-prob", dest="setup_timeout_prob", type=float,
                     help="per-request signalling-timeout probability")
-    sv.add_argument("--flaps-per-hour", type=float, default=0.0,
+    sv.add_argument("--flaps-per-hour", type=float,
                     help="circuit flap rate while a request rides its VC")
-    sv.add_argument("--flap-duration", type=float, default=25.0,
+    sv.add_argument("--flap-duration", dest="flap_duration_s", type=float,
                     help="mean flap outage duration, virtual seconds")
-    sv.add_argument("--drain-grace", type=float, default=5.0,
+    sv.add_argument("--drain-grace", dest="drain_grace_s", type=float,
                     help="real seconds SIGTERM waits before checkpointing")
     sv.add_argument("--chaos-ops", action="store_true",
-                    help="honour the 'crash' chaos op (tests/soaks only)")
-    sv.add_argument("--scheduler", default="fcfs", metavar="NAME",
+                    help="honour the 'crash' chaos op (tests and "
+                         "crash-injecting load tests only)")
+    sv.add_argument("--scheduler", metavar="NAME",
                     help="scheduling policy: fcfs | predictive | global "
                          "(unknown names fail fast with the valid set)")
-    sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--verbose", action="store_true")
+    sv.add_argument("--seed", type=int)
+    sv.add_argument("--verbose", action="store_true", default=False)
     sv.set_defaults(func=_cmd_serve)
 
     rq = sub.add_parser(
@@ -808,6 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     lt = sub.add_parser(
         "loadtest",
         help="open-loop load test of the transfer daemon (latency SLOs)",
+        argument_default=argparse.SUPPRESS,
     )
     lt.add_argument("--socket", default=None,
                     help="drive an already-running daemon at this socket "
@@ -815,30 +791,29 @@ def build_parser() -> argparse.ArgumentParser:
     lt.add_argument("--mode", choices=["live", "sim"], default="live",
                     help="live = real daemon; sim = deterministic "
                          "discrete-event twin (bit-identical per seed)")
-    lt.add_argument("--arrivals", choices=["poisson", "onoff", "diurnal"],
-                    default="poisson")
-    lt.add_argument("--n", type=int, default=100,
+    lt.add_argument("--arrivals", choices=["poisson", "onoff", "diurnal"])
+    lt.add_argument("--n", dest="n_requests", type=int, default=100,
                     help="number of submissions to offer")
-    lt.add_argument("--rate", type=float, default=0.1,
+    lt.add_argument("--rate", dest="rate_per_s", type=float,
                     help="arrival rate, requests per *virtual* second")
-    lt.add_argument("--tenants", type=int, default=3)
-    lt.add_argument("--invalid-frac", type=float, default=0.0,
+    lt.add_argument("--tenants", dest="n_tenants", type=int)
+    lt.add_argument("--invalid-frac", type=float,
                     help="fraction of submissions made deliberately invalid")
-    lt.add_argument("--deadline-frac", type=float, default=0.25,
+    lt.add_argument("--deadline-frac", dest="tight_deadline_frac", type=float,
                     help="fraction of submissions with a tight deadline")
-    lt.add_argument("--time-scale", type=float, default=3000.0,
+    lt.add_argument("--time-scale", type=float,
                     help="virtual seconds per real second (embedded daemon "
                          "and schedule pacing; match a --socket daemon's)")
-    lt.add_argument("--workers", type=int, default=4)
-    lt.add_argument("--queue-limit", type=int, default=16)
-    lt.add_argument("--tenant-quota", type=int, default=8)
-    lt.add_argument("--reject-prob", type=float, default=0.0)
-    lt.add_argument("--timeout-prob", type=float, default=0.0)
-    lt.add_argument("--flaps-per-hour", type=float, default=0.0)
+    lt.add_argument("--workers", type=int)
+    lt.add_argument("--queue-limit", type=int)
+    lt.add_argument("--tenant-quota", type=int)
+    lt.add_argument("--reject-prob", type=float)
+    lt.add_argument("--timeout-prob", dest="setup_timeout_prob", type=float)
+    lt.add_argument("--flaps-per-hour", type=float)
     lt.add_argument("--max-p99", type=float, default=None,
                     help="fail (exit 1) if p99 latency exceeds this SLO, "
                          "seconds in the report's latency domain")
-    lt.add_argument("--scheduler", default="fcfs", metavar="NAME",
+    lt.add_argument("--scheduler", metavar="NAME",
                     help="scheduling policy: fcfs | predictive | global")
     lt.add_argument("--seed", type=int, default=0)
     lt.set_defaults(func=_cmd_loadtest)

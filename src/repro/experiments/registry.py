@@ -254,22 +254,6 @@ def _scenario_managed_from_workload(
     return managed_campaign_from_workload(params, seed, artifacts)
 
 
-@register_scenario("service_soak")
-def _scenario_service_soak(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
-    """Fault-storm soak of the long-lived transfer daemon.
-
-    Boots a real :class:`~repro.service.daemon.TransferDaemon` (asyncio
-    loops, Unix control socket) in-process, drives a Poisson arrival
-    storm with injected reservation rejections, signalling timeouts,
-    circuit flaps, and deliberate work-loop panics, then drains and
-    pins the service contracts (every accepted request settled,
-    overload shed explicitly, crashed loops restarted).
-    """
-    from ..service.soak import run_service_soak
-
-    return run_service_soak(dict(params), seed)
-
-
 @register_scenario("service_loadtest")
 def _scenario_service_loadtest(
     params: Mapping[str, Any], seed: int
@@ -283,10 +267,12 @@ def _scenario_service_loadtest(
     closed-loop storm does.  ``mode="live"`` (default) boots a real
     in-process daemon and measures wall-clock latency; ``mode="sim"``
     runs the deterministic discrete-event twin, whose censuses and
-    latency quantiles are bit-identical across same-seed runs.  The
+    latency quantiles are bit-identical across same-seed runs.  Live
+    cells take the daemon's fault knobs and ``n_crashes`` seeded
+    work-loop panics, so a fault-storm soak is one of these grids.  The
     report validates its own service contracts before being returned
     (submission ledger, settle census, admission bound, monotone
-    quantiles).
+    quantiles, well-formed sheds, no dead loops).
     """
     from ..service.loadtest import run_loadtest, run_loadtest_sim
 

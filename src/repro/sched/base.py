@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import typing
 from collections import deque
+from collections.abc import Mapping
 from typing import Any, ClassVar
 
 from ..service.admission import AdmissionController, AdmissionDecision
@@ -33,12 +35,42 @@ from ..service.budget import DeadlineBudget, TransferPlan
 from ..vc.policy import FallbackDecision, FallbackPolicy
 
 __all__ = [
+    "config_from_params",
     "SchedulerConfig",
     "TransferScheduler",
     "SCHEDULER_NAMES",
     "register_scheduler",
     "make_scheduler",
 ]
+
+
+_C = typing.TypeVar("_C")
+
+
+def config_from_params(cls: type[_C], params: Mapping[str, Any]) -> _C:
+    """Build the config dataclass ``cls`` from a flat params mapping.
+
+    Each field is read by name and coerced to its declared type; other
+    keys are ignored, absent fields keep their default, and
+    ``__post_init__`` validates the result as usual.
+    """
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        f.name: _coerce(f.name, hints[f.name], params[f.name])
+        for f in dataclasses.fields(cls)
+        if f.name in params
+    })
+
+
+def _coerce(name: str, declared: Any, value: Any) -> Any:
+    options = typing.get_args(declared) or (declared,)
+    if value is None and type(None) in options:
+        return None
+    base = next(t for t in options if t is not type(None))
+    if base is bool and not isinstance(value, bool):
+        # bool("false") is True: only a real boolean sets a flag
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+    return base(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,6 +94,11 @@ class SchedulerConfig:
             raise ValueError("rates must be positive")
         if self.vc_safety_factor < 1.0:
             raise ValueError("vc_safety_factor must be >= 1")
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any]) -> "SchedulerConfig":
+        """See :func:`config_from_params`."""
+        return config_from_params(cls, params)
 
 
 class TransferScheduler(abc.ABC):

@@ -16,10 +16,9 @@ stack misbehaves underneath it.  The pieces:
   blocking client;
 * :mod:`~repro.service.daemon` — the daemon itself (serve, drain,
   checkpoint, exit 75);
-* :mod:`~repro.service.soak` — the ``service_soak`` fault-storm
-  scenario (closed-loop correctness);
 * :mod:`~repro.service.loadtest` — the ``service_loadtest`` open-loop
-  harness: arrival generators, latency SLOs, the deterministic twin.
+  harness: arrival generators, fault and crash injection, latency SLOs,
+  the deterministic twin.
 """
 
 from .admission import AdmissionController, AdmissionDecision

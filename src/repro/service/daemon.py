@@ -39,7 +39,8 @@ import logging
 import os
 import signal
 import sys
-from typing import Any
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -60,6 +61,9 @@ from .api import MAX_LINE_BYTES, decode_line, encode_line, error_response
 from .budget import DeadlineBudget, PathChoice
 from .health import HealthMonitor, ServiceMetrics
 from .supervisor import Supervisor
+
+if TYPE_CHECKING:  # the sched package imports this package; stay lazy
+    from ..sched.base import SchedulerConfig
 
 __all__ = [
     "DaemonConfig",
@@ -137,7 +141,7 @@ class DaemonConfig:
     status_interval_s: float = 0.2
     heartbeat_timeout_s: float = 10.0
     checkpoint_path: str | None = None
-    #: honour the ``crash`` chaos op (tests and soaks only)
+    #: honour the ``crash`` chaos op (tests and crash-injecting load tests)
     chaos_ops: bool = False
     #: times a request survives its work loop crashing before it fails
     max_crash_requeues: int = 2
@@ -169,6 +173,19 @@ class DaemonConfig:
                 f"unknown scheduler {self.scheduler!r}: choose one of "
                 f"{', '.join(SCHEDULER_NAMES())}"
             )
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any]) -> "DaemonConfig":
+        """See :func:`~repro.sched.base.config_from_params`."""
+        from ..sched.base import config_from_params
+
+        return config_from_params(cls, params)
+
+    def scheduler_config(self) -> "SchedulerConfig":
+        """What every scheduling policy over this daemon decides against."""
+        from ..sched.base import SchedulerConfig
+
+        return SchedulerConfig.from_params(self.as_dict())
 
     def as_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -266,19 +283,9 @@ class TransferDaemon:
         # degradation ladder, circuit rate, reservation windows — is the
         # policy object's (DESIGN.md §16); the daemon just asks it.
         # Imported lazily: repro.sched imports this package's modules.
-        from ..sched.base import SchedulerConfig, make_scheduler
+        from ..sched.base import make_scheduler
 
-        self.sched = make_scheduler(
-            config.scheduler,
-            SchedulerConfig(
-                workers=config.workers,
-                queue_limit=config.queue_limit,
-                tenant_quota=config.tenant_quota,
-                vc_rate_bps=config.vc_rate_bps,
-                ip_rate_bps=config.ip_rate_bps,
-                vc_safety_factor=config.vc_safety_factor,
-            ),
-        )
+        self.sched = make_scheduler(config.scheduler, config.scheduler_config())
         #: the policy's admission controller (status/health/drain views)
         self.admission = self.sched.admission
         self.supervisor = Supervisor()
@@ -327,7 +334,7 @@ class TransferDaemon:
 
         ``install_signals`` also decides whether the drain report is
         printed to stdout: a real daemon process emits it for its
-        caller, an embedded daemon (soak scenario, tests) only records
+        caller, an embedded daemon (load-test harness, tests) only records
         it on :attr:`drain_report`.
         """
         self._emit_report = install_signals

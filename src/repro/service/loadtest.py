@@ -1,12 +1,12 @@
 """Open-loop load testing of the transfer daemon, with latency SLOs.
 
-The soak's Poisson storm is *closed-loop*: it awaits every ``submit``
-before sleeping the next inter-arrival gap, so an overloaded daemon slows
-the arrival process down and queueing collapse hides inside a gentler
-offered load.  A real arrival process does not care how the service is
-doing — the paper's Fig. 6 time-of-day pulse keeps coming whether the
-circuits signal in one second or one minute.  This module drives the
-daemon the way ``fdtcp``'s ``loadtest/`` drives fdtd:
+A *closed-loop* storm awaits every ``submit`` before sleeping the next
+inter-arrival gap, so an overloaded daemon slows the arrival process
+down and queueing collapse hides inside a gentler offered load.  A real
+arrival process does not care how the service is doing — the paper's
+Fig. 6 time-of-day pulse keeps coming whether the circuits signal in one
+second or one minute.  This module is the one load harness of the
+daemon, and drives it the way ``fdtcp``'s ``loadtest/`` drives fdtd:
 
 * **arrival generators** — schedules in *virtual* service seconds:
   :func:`poisson_schedule` (memoryless), :func:`onoff_schedule`
@@ -27,11 +27,17 @@ daemon the way ``fdtcp``'s ``loadtest/`` drives fdtd:
   :func:`~repro.service.budget.plan_path` code, hand-cranked clock), so
   two runs with one seed produce byte-identical censuses — the Ext-U
   bench's regression anchor;
+* **crash injection** — ``n_crashes`` seeded arrivals also fire the
+  ``crash`` chaos op, panicking a live work loop that must restart;
 * **an SLO report** — :class:`LoadTestReport` pins p50/p95/p99 request
   latency (via :class:`~repro.core.streaming.QuantileSketch`),
   scheduler throughput, the shed census by reason, the degradation mix
-  (VC vs routed-IP rungs), and the admission bound sampled throughout
-  the storm.
+  (VC vs routed-IP rungs), the admission bound sampled throughout the
+  storm, and the supervision record (restarts, no dead loops).
+
+Both drivers (and the cost curve) resolve params through
+:func:`harness_config`, so a live and a twin cell from one spec run the
+same admission ladder.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import os
 import tempfile
 import time
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -52,6 +59,7 @@ from ..core.rng import ensure_rng
 from ..core.streaming import QuantileSketch
 from ..vc.circuits import BatchSignalling
 from ..workload.diurnal import DiurnalProfile, sample_arrivals
+from .admission import SHED_REASONS
 from .api import AsyncServiceClient
 from .budget import DeadlineBudget, PathChoice
 from .daemon import DaemonConfig, TransferDaemon
@@ -60,6 +68,8 @@ if TYPE_CHECKING:  # the sched package imports this module; stay lazy
     from ..sched.base import TransferScheduler
 
 __all__ = [
+    "HARNESS_DEFAULTS",
+    "harness_config",
     "FIG6_HOURLY",
     "fig6_profile",
     "poisson_schedule",
@@ -88,6 +98,42 @@ FIG6_HOURLY: tuple[float, ...] = (
 def fig6_profile() -> DiurnalProfile:
     """The Fig. 6 load shape as a :class:`DiurnalProfile` (mean 1)."""
     return DiurnalProfile(hourly=FIG6_HOURLY, weekend_factor=0.7)
+
+
+#: where a load-test cell departs from a bare daemon's defaults: a fast
+#: virtual clock, an admission bound a storm can reach, a drain grace
+#: long enough for the storm's tail, and a status beat quick enough to
+#: sample.  Merged *under* the params by every driver.
+HARNESS_DEFAULTS: Mapping[str, Any] = MappingProxyType({
+    "time_scale": 3000.0,
+    "queue_limit": 16,
+    "drain_grace_s": 15.0,
+    "status_interval_s": 0.05,
+})
+
+
+def harness_config(params: Mapping[str, Any], seed: int) -> DaemonConfig:
+    """The daemon config one load-test cell runs.
+
+    :data:`HARNESS_DEFAULTS` under ``params``, resolved by
+    :meth:`DaemonConfig.from_params`.  ``chaos_ops`` is derived — on
+    exactly when the cell injects crashes (``n_crashes > 0``) — and the
+    socket is a placeholder the live driver replaces with its own.
+    """
+    return DaemonConfig.from_params({
+        **HARNESS_DEFAULTS,
+        **params,
+        "socket_path": "<unserved>",
+        "seed": seed,
+        "chaos_ops": _n_crashes(params) > 0,
+    })
+
+
+def _n_crashes(params: Mapping[str, Any]) -> int:
+    n = int(params.get("n_crashes", 0))
+    if n < 0:
+        raise ValueError("n_crashes must be non-negative")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +440,10 @@ class LoadTestReport:
     #: submissions whose connection was refused or reset before a reply
     #: (live driver only; the twin has no transport)
     n_transport_error: int = 0
+    #: supervised work/status loop restarts during the storm (live
+    #: driver only; the twin has no loops), and loops dead at the end
+    loop_restarts: int = 0
+    dead_loops: list[str] = dataclasses.field(default_factory=list)
 
     @property
     def n_settled(self) -> int:
@@ -435,6 +485,15 @@ class LoadTestReport:
             )
         if sum(self.shed.values()) != self.n_shed:
             raise AssertionError("shed census disagrees with n_shed")
+        unknown = sorted(set(self.shed) - set(SHED_REASONS))
+        if unknown:
+            raise AssertionError(f"unknown shed reason(s) {unknown}")
+        if self.n_shed and not (self.retry_after_max_s or 0.0) > 0:
+            raise AssertionError("shed without a positive retry-after hint")
+        if self.dead_loops:
+            raise AssertionError(
+                f"supervised loop(s) dead at the end: {self.dead_loops}"
+            )
         if self.n_settled != self.n_accepted:
             raise AssertionError(
                 f"{self.n_accepted - self.n_settled} accepted request(s) "
@@ -480,6 +539,8 @@ def _report_from_counts(
     scheduler: str = "fcfs",
     bytes_moved: float = 0.0,
     tenant_succeeded: Mapping[str, int] | None = None,
+    loop_restarts: int = 0,
+    dead_loops: list[str] | None = None,
 ) -> LoadTestReport:
     lat = recorder.summary()
     n_offered = int(counts["n_offered"])
@@ -526,6 +587,8 @@ def _report_from_counts(
         ),
         fairness_jain=_jain_index(tenant_succeeded),
         n_transport_error=int(counts.get("n_transport_error", 0)),
+        loop_restarts=int(loop_restarts),
+        dead_loops=sorted(dead_loops or ()),
     )
 
 
@@ -550,31 +613,26 @@ def _jain_index(counts: Mapping[str, int] | None) -> float | None:
 # the open-loop live driver
 
 
-def _daemon_config(
-    params: Mapping[str, Any], seed: int, socket_path: str
-) -> DaemonConfig:
-    return DaemonConfig(
-        socket_path=socket_path,
-        workers=int(params.get("workers", 4)),
-        time_scale=float(params.get("time_scale", 3000.0)),
-        queue_limit=int(params.get("queue_limit", 16)),
-        tenant_quota=int(params.get("tenant_quota", 8)),
-        vc_rate_bps=float(params.get("vc_rate_bps", 1.6e9)),
-        ip_rate_bps=float(params.get("ip_rate_bps", 4e8)),
-        reject_prob=float(params.get("reject_prob", 0.0)),
-        setup_timeout_prob=float(params.get("setup_timeout_prob", 0.0)),
-        flaps_per_hour=float(params.get("flaps_per_hour", 0.0)),
-        flap_duration_s=float(params.get("flap_duration_s", 25.0)),
-        drain_grace_s=float(params.get("drain_grace_s", 15.0)),
-        status_interval_s=0.05,
-        seed=seed,
-        scheduler=str(params.get("scheduler", "fcfs")),
-    )
-
-
 #: response key the live driver sets on a submission whose connection
 #: failed before a reply (never a key of a daemon response)
 _TRANSPORT_ERROR = "transport_error"
+
+
+#: spawn key of the crash-index stream: a child of the seed that no
+#: schedule, request-mix or twin service draw shares
+_CRASH_STREAM = 2
+
+
+def _crash_indices(n_crashes: int, n: int, seed: int) -> frozenset[int]:
+    """The arrivals after which the live driver fires the crash op."""
+    if not n_crashes:
+        return frozenset()
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(_CRASH_STREAM,))
+    )
+    return frozenset(
+        rng.choice(n, size=min(n_crashes, n), replace=False).tolist()
+    )
 
 
 async def _drive_open_loop(
@@ -584,8 +642,12 @@ async def _drive_open_loop(
     time_scale: float,
     sample_interval_s: float,
     request_timeout_s: float,
+    crash_at: frozenset[int],
 ) -> dict[str, Any]:
-    """Fire every submission on schedule; never wait for a response first."""
+    """Fire every submission on schedule; never wait for a response first.
+
+    Each arrival in ``crash_at`` also fires the ``crash`` chaos op.
+    """
     loop = asyncio.get_running_loop()
     t0 = loop.time()
     responses: list[dict[str, Any] | None] = [None] * len(mix)
@@ -620,6 +682,18 @@ async def _drive_open_loop(
         responses[i] = resp
         latencies[i] = loop.time() - t_sched
 
+    async def crash() -> None:
+        client = await AsyncServiceClient.connect(socket_path)
+        try:
+            resp = await client.request({"op": "crash"})
+        finally:
+            await client.close()
+        if not resp.get("ok"):
+            raise RuntimeError(
+                f"the daemon refused the crash op ({resp.get('error')}); "
+                f"n_crashes needs a daemon serving chaos ops (--chaos-ops)"
+            )
+
     async def sample() -> None:
         nonlocal bound_seen
         client = await AsyncServiceClient.connect(socket_path)
@@ -646,6 +720,8 @@ async def _drive_open_loop(
                 await asyncio.sleep(delay)
             # open loop: the task is NOT awaited before the next arrival
             tasks.append(asyncio.create_task(fire(i)))
+            if i in crash_at:
+                tasks.append(asyncio.create_task(crash()))
         await asyncio.gather(*tasks)
     finally:
         for t in tasks:
@@ -693,17 +769,42 @@ def _classify(
                 # checkpointed requests settle at drain, not by service
                 recorder.record(lat)
         elif resp.get("status") == "rejected":
-            counts["n_shed"] += 1
-            reason = str(resp.get("reason"))
-            shed[reason] = shed.get(reason, 0) + 1
+            reason = resp.get("reason")
             hint = resp.get("retry_after_s")
-            if hint is not None:
-                retry_after_max = max(retry_after_max or 0.0, float(hint))
+            if reason not in SHED_REASONS or not (
+                isinstance(hint, (int, float)) and hint > 0
+            ):
+                # a shed must say why and when to come back
+                raise AssertionError(f"malformed shed response {resp!r}")
+            counts["n_shed"] += 1
+            shed[reason] = shed.get(reason, 0) + 1
+            retry_after_max = max(retry_after_max or 0.0, float(hint))
         elif str(resp.get("error", "")).startswith("invalid submission"):
             counts["n_invalid"] += 1
         else:
             raise AssertionError(f"unexpected response {resp!r}")
     return counts, shed, paths, retry_after_max
+
+
+def _check_daemon_ledger(
+    counts: Mapping[str, int], daemon_metrics: Mapping[str, int]
+) -> None:
+    """The daemon's ledger must agree with the client-side censuses; a
+    reset reply may hide one daemon-side count per transport error."""
+    unseen = 0
+    for key in ("n_accepted", "n_shed", "n_invalid"):
+        if daemon_metrics[key] < counts[key]:
+            raise AssertionError(
+                f"client-side {key}={counts[key]} disagrees with the "
+                f"daemon's {key}={daemon_metrics[key]}"
+            )
+        unseen += daemon_metrics[key] - counts[key]
+    if unseen > counts["n_transport_error"]:
+        raise AssertionError(
+            f"the daemon counted {unseen} submission(s) the client never "
+            f"saw answered, but only {counts['n_transport_error']} hit a "
+            f"transport error"
+        )
 
 
 def run_loadtest(
@@ -714,71 +815,76 @@ def run_loadtest(
     """Open-loop load test against a *live* daemon.
 
     With ``socket_path=None`` a daemon is booted in-process from
-    ``params`` (real asyncio loops, real Unix control socket) and
-    drained afterwards; otherwise the storm drives an already-running
-    daemon at ``socket_path`` and the daemon is left serving.  The
-    arrival schedule and request mix are seeded, so the *offered* load
-    replays exactly; the live censuses depend on real scheduling (use
-    :func:`run_loadtest_sim` for the deterministic twin).
+    :func:`harness_config` (real asyncio loops, real Unix control
+    socket) and drained afterwards; otherwise the storm drives an
+    already-running daemon at ``socket_path`` and the daemon is left
+    serving (``n_crashes > 0`` then needs it started with
+    ``--chaos-ops``).  The arrival schedule, request mix and crash
+    arrivals are seeded, so the *offered* load replays exactly; the live
+    censuses depend on real scheduling (use :func:`run_loadtest_sim`
+    for the deterministic twin).
     """
     rng = np.random.default_rng(seed)
     schedule = build_schedule(params, rng)
     mix = RequestMix.from_params(params, rng)
-    time_scale = float(params.get("time_scale", 3000.0))
+    config = harness_config(params, seed)
+    crash_at = _crash_indices(_n_crashes(params), len(mix), seed)
     sample_interval_s = float(params.get("sample_interval_s", 0.01))
     request_timeout_s = float(params.get("request_timeout_s", 120.0))
     t_start = time.perf_counter()
 
+    def drive(sock: str) -> Any:
+        return _drive_open_loop(
+            sock, schedule, mix, config.time_scale,
+            sample_interval_s, request_timeout_s, crash_at,
+        )
+
     if socket_path is None:
         with tempfile.TemporaryDirectory(prefix="repro-loadtest-") as tmp:
-            sock = os.path.join(tmp, "svc.sock")
-            config = _daemon_config(params, seed, sock)
-            time_scale = config.time_scale
+            embedded = dataclasses.replace(
+                config, socket_path=os.path.join(tmp, "svc.sock")
+            )
 
             async def body() -> dict[str, Any]:
-                daemon = TransferDaemon(config)
+                daemon = TransferDaemon(embedded)
                 ready = asyncio.Event()
                 serve = asyncio.create_task(
                     daemon.serve(ready=ready, install_signals=False)
                 )
                 await asyncio.wait_for(ready.wait(), timeout=10)
                 try:
-                    raw = await _drive_open_loop(
-                        sock, schedule, mix, time_scale,
-                        sample_interval_s, request_timeout_s,
-                    )
+                    raw = await drive(embedded.socket_path)
                 finally:
                     daemon.request_drain()
                     await asyncio.wait_for(serve, timeout=60)
                 raw["daemon_metrics"] = daemon.metrics.as_dict()
-                raw["daemon_shed"] = dict(daemon.admission.shed)
+                raw["loop_restarts"] = daemon.supervisor.n_restarts
+                raw["dead_loops"] = daemon.supervisor.dead_loops()
                 return raw
 
             raw = asyncio.run(body())
     else:
+        async def status() -> dict[str, Any]:
+            client = await AsyncServiceClient.connect(socket_path)
+            try:
+                return (await client.request({"op": "status"}))["status"]
+            finally:
+                await client.close()
+
         async def body() -> dict[str, Any]:
-            client = await AsyncServiceClient.connect(socket_path)
-            try:
-                before = (await client.request({"op": "status"}))["status"]
-            finally:
-                await client.close()
-            raw = await _drive_open_loop(
-                socket_path, schedule, mix, time_scale,
-                sample_interval_s, request_timeout_s,
-            )
-            client = await AsyncServiceClient.connect(socket_path)
-            try:
-                after = (await client.request({"op": "status"}))["status"]
-            finally:
-                await client.close()
+            before = await status()
+            raw = await drive(socket_path)
+            after = await status()
             raw["daemon_metrics"] = {
                 k: after["metrics"][k] - before["metrics"][k]
                 for k in after["metrics"]
             }
-            raw["daemon_shed"] = {
-                k: after["shed"][k] - before["shed"].get(k, 0)
-                for k in after["shed"]
-            }
+            raw["loop_restarts"] = (
+                after["health"]["n_restarts"] - before["health"]["n_restarts"]
+            )
+            raw["dead_loops"] = [
+                name for name, loop in after["loops"].items() if loop["dead"]
+            ]
             return raw
 
         raw = asyncio.run(body())
@@ -788,27 +894,7 @@ def run_loadtest(
     counts, shed, paths, retry_after_max = _classify(
         raw["responses"], raw["latencies"], recorder
     )
-    # the daemon's own ledger must agree with the client-side censuses;
-    # a submission whose reply was lost to a reset may still have reached
-    # the daemon, so each transport error may hide one daemon-side count
-    dm = raw["daemon_metrics"]
-    unseen = 0
-    for key in ("n_accepted", "n_shed", "n_invalid"):
-        if dm[key] < counts[key]:
-            raise AssertionError(
-                f"client-side {key}={counts[key]} disagrees with the "
-                f"daemon's {key}={dm[key]}"
-            )
-        unseen += dm[key] - counts[key]
-    if unseen > counts["n_transport_error"]:
-        raise AssertionError(
-            f"the daemon counted {unseen} submission(s) the client never "
-            f"saw answered, but only {counts['n_transport_error']} hit a "
-            f"transport error"
-        )
-    # the bound comes from the daemon's own /status (works for external
-    # daemons too); fall back to the configured limit if sampling missed
-    bound = int(raw["bound_seen"]) or int(params.get("queue_limit", 16))
+    _check_daemon_ledger(counts, raw["daemon_metrics"])
     return _report_from_counts(
         mode="live",
         params=params,
@@ -820,9 +906,13 @@ def run_loadtest(
         duration_s=raw["duration_s"],
         wall_s=wall_s,
         outstanding_samples=raw["outstanding_samples"],
-        outstanding_bound=bound,
+        # the bound comes from the daemon's own /status (works for
+        # external daemons too); the configured limit if sampling missed
+        outstanding_bound=int(raw["bound_seen"]) or config.queue_limit,
         retry_after_max_s=retry_after_max,
-        time_scale=time_scale,
+        time_scale=config.time_scale,
+        loop_restarts=raw["loop_restarts"],
+        dead_loops=raw["dead_loops"],
     )
 
 
@@ -861,39 +951,21 @@ def run_loadtest_sim(
     prediction-error cost curve injects biased predictors this way);
     otherwise ``params["scheduler"]`` names the policy.
     """
-    from ..sched.base import SchedulerConfig, make_scheduler
+    from ..sched.base import make_scheduler
 
     rng = np.random.default_rng(seed)
     schedule = build_schedule(params, rng)
     mix = RequestMix.from_params(params, rng)
     service_rng = np.random.default_rng(seed + 1)
 
-    time_scale = float(params.get("time_scale", 3000.0))
-    workers = int(params.get("workers", 4))
-    vc_rate = float(params.get("vc_rate_bps", 1.6e9))
-    ip_rate = float(params.get("ip_rate_bps", 4e8))
-    safety = float(params.get("vc_safety_factor", 1.25))
-    reject_prob = float(params.get("reject_prob", 0.0))
-    flaps_per_hour = float(params.get("flaps_per_hour", 0.0))
-    flap_duration_s = float(params.get("flap_duration_s", 25.0))
+    # the daemon this twin models, resolved exactly as the live driver's
+    config = harness_config(params, seed)
     jitter_sigma = float(params.get("service_jitter_sigma", 0.1))
     reject_penalty_s = float(params.get("reject_penalty_s", 30.0))
-    signalling = BatchSignalling(
-        batch_window_s=float(params.get("batch_window_s", 60.0))
-    )
+    signalling = BatchSignalling(batch_window_s=config.batch_window_s)
 
     if scheduler is None:
-        scheduler = make_scheduler(
-            str(params.get("scheduler", "fcfs")),
-            SchedulerConfig(
-                workers=workers,
-                queue_limit=int(params.get("queue_limit", 16)),
-                tenant_quota=int(params.get("tenant_quota", 8)),
-                vc_rate_bps=vc_rate,
-                ip_rate_bps=ip_rate,
-                vc_safety_factor=safety,
-            ),
-        )
+        scheduler = make_scheduler(config.scheduler, config.scheduler_config())
     admission = scheduler.admission
     clock = [0.0]
     counts = {
@@ -904,7 +976,7 @@ def run_loadtest_sim(
     recorder = LatencyRecorder()
     outstanding_samples: list[int] = []
     retry_after_max: float | None = None
-    free_workers = workers
+    free_workers = config.workers
     bytes_moved = 0.0
     tenant_succeeded: dict[str, int] = {}
 
@@ -930,19 +1002,23 @@ def run_loadtest_sim(
         plan = scheduler.plan(req.budget, req.total_bytes, setup)
         jitter = float(np.exp(service_rng.normal(0.0, jitter_sigma)))
         if plan.choice is PathChoice.VC:
-            if reject_prob > 0 and service_rng.random() < reject_prob:
+            rejected = (
+                config.reject_prob > 0
+                and service_rng.random() < config.reject_prob
+            )
+            if rejected:
                 # reservation retries exhausted: routed-IP recovery
-                ip_s = req.total_bytes * 8.0 / ip_rate
+                ip_s = req.total_bytes * 8.0 / config.ip_rate_bps
                 return (reject_penalty_s + ip_s * jitter,
                         PathChoice.IP_FALLBACK.value)
-            vc_s = req.total_bytes * 8.0 / vc_rate
-            if flaps_per_hour > 0:
+            vc_s = req.total_bytes * 8.0 / config.vc_rate_bps
+            if config.flaps_per_hour > 0:
                 n_flaps = int(service_rng.poisson(
-                    flaps_per_hour * vc_s / 3600.0
+                    config.flaps_per_hour * vc_s / 3600.0
                 ))
-                vc_s += n_flaps * flap_duration_s
+                vc_s += n_flaps * config.flap_duration_s
             return setup + vc_s * jitter, PathChoice.VC.value
-        ip_s = req.total_bytes * 8.0 / ip_rate
+        ip_s = req.total_bytes * 8.0 / config.ip_rate_bps
         return ip_s * jitter, PathChoice.IP_DEGRADED.value
 
     def dispatch() -> None:
@@ -994,7 +1070,7 @@ def run_loadtest_sim(
             free_workers += 1
             scheduler.on_settle(req.tenant, started=True)
             # the fixed daemon feeds *wall* execution seconds to the EWMA
-            scheduler.note_service_s(svc / time_scale)
+            scheduler.note_service_s(svc / config.time_scale)
             # the policy sees what the ride achieved (observe never
             # draws RNG, so the seeded streams stay aligned)
             scheduler.observe(req.total_bytes, svc, path)
@@ -1026,7 +1102,7 @@ def run_loadtest_sim(
         outstanding_samples=outstanding_samples,
         outstanding_bound=admission.queue_limit,
         retry_after_max_s=retry_after_max,
-        time_scale=time_scale,
+        time_scale=config.time_scale,
         scheduler=scheduler.name,
         bytes_moved=bytes_moved,
         tenant_succeeded=tenant_succeeded,

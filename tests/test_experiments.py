@@ -932,3 +932,35 @@ class TestStreamAnalyzeScenario:
         for k in ("n_sessions", "n_single", "n_multi", "n_pairs",
                   "total_bytes", "max_transfers_in_session"):
             assert a[k] == b[k], k
+
+
+
+# -- the shipped example specs ------------------------------------------------
+
+_SPECS_DIR = os.path.join(os.path.dirname(__file__), "..", "examples", "specs")
+_EXAMPLE_SPECS = sorted(
+    name for name in os.listdir(_SPECS_DIR) if name.endswith(".toml")
+)
+
+
+class TestExampleSpecs:
+    def test_the_examples_are_found(self):
+        assert "service_soak.toml" in _EXAMPLE_SPECS
+
+    @pytest.mark.parametrize("name", _EXAMPLE_SPECS)
+    def test_loads_and_names_registered_scenarios(self, name):
+        from repro.experiments.spec import PipelineSpec, StageSpec, load_spec
+
+        spec = load_spec(os.path.join(_SPECS_DIR, name))
+        specs = [spec]
+        if isinstance(spec, PipelineSpec):
+            specs = [stage.spec for stage in spec.stages]
+            for stage in spec.stages:
+                for need in stage.needs:
+                    if StageSpec.is_external(need):
+                        assert os.path.exists(
+                            os.path.join(spec.base_dir, need)
+                        ), need
+        for each in specs:
+            assert each.scenario in scenario_names(), each.scenario
+            assert each.cells()

@@ -10,10 +10,15 @@ shape), the request mix, the latency recorder, and the
   sheds against the admission bound, underload settles everything;
 * the **live driver** (:func:`run_loadtest`): a real in-process daemon
   under a genuinely open-loop storm — the ledger balances against the
-  daemon's own counters and the report validates.
+  daemon's own counters and the report validates, also when seeded
+  ``crash`` ops panic work loops mid-storm;
+
+and the one params -> config path both drivers (and the prediction-error
+cost curve) resolve a cell through.
 """
 
 import asyncio
+import dataclasses
 import json
 import math
 
@@ -22,11 +27,16 @@ import pytest
 
 from repro.service.loadtest import (
     FIG6_HOURLY,
+    HARNESS_DEFAULTS,
     LatencyRecorder,
     RequestMix,
+    _check_daemon_ledger,
+    _classify,
+    _crash_indices,
     build_schedule,
     diurnal_schedule,
     fig6_profile,
+    harness_config,
     onoff_schedule,
     poisson_schedule,
     run_loadtest,
@@ -219,6 +229,167 @@ class TestLatencyRecorder:
 
 
 # ---------------------------------------------------------------------------
+# client-side classification and the daemon cross-check
+
+
+class TestClassify:
+    def test_well_formed_shed_is_counted(self):
+        counts, shed, _, hint = _classify(
+            [{"ok": False, "status": "rejected", "reason": "tenant-quota",
+              "retry_after_s": 2.5}],
+            [None],
+            LatencyRecorder(),
+        )
+        assert counts["n_shed"] == 1
+        assert shed == {"tenant-quota": 1}
+        assert hint == 2.5
+
+    @pytest.mark.parametrize("resp", [
+        # a shed must name a known reason ...
+        {"ok": False, "status": "rejected", "reason": "busy",
+         "retry_after_s": 2.0},
+        {"ok": False, "status": "rejected", "retry_after_s": 2.0},
+        # ... and carry a positive retry-after hint
+        {"ok": False, "status": "rejected", "reason": "queue-full"},
+        {"ok": False, "status": "rejected", "reason": "queue-full",
+         "retry_after_s": 0.0},
+    ])
+    def test_malformed_shed_raises(self, resp):
+        with pytest.raises(AssertionError, match="malformed shed"):
+            _classify([resp], [None], LatencyRecorder())
+
+    def test_daemon_ledger_must_match_the_client(self):
+        client = {"n_accepted": 3, "n_shed": 1, "n_invalid": 1,
+                  "n_transport_error": 0}
+        _check_daemon_ledger(client, {"n_accepted": 3, "n_shed": 1,
+                                      "n_invalid": 1})
+        with pytest.raises(AssertionError, match="disagrees"):
+            _check_daemon_ledger(client, {"n_accepted": 3, "n_shed": 1,
+                                          "n_invalid": 0})
+        with pytest.raises(AssertionError, match="never saw answered"):
+            _check_daemon_ledger(client, {"n_accepted": 3, "n_shed": 2,
+                                          "n_invalid": 1})
+        # a reset may hide one daemon-side count per transport error
+        _check_daemon_ledger(
+            dict(client, n_transport_error=1),
+            {"n_accepted": 3, "n_shed": 2, "n_invalid": 1},
+        )
+
+
+# ---------------------------------------------------------------------------
+# one params -> config path for every driver
+
+
+class TestHarnessConfig:
+    def test_every_driver_resolves_params_alike(self, monkeypatch):
+        """The live daemon, the twin and the cost curve read one spec's
+        params into the same config, field by field."""
+        from repro.sched import base as sched_base
+        from repro.sched.base import SchedulerConfig
+        from repro.sched.predictive import prediction_error_cost_curve
+        from repro.service import loadtest
+        from repro.service.daemon import DaemonConfig
+
+        shared = sorted(
+            {f.name for f in dataclasses.fields(SchedulerConfig)}
+            & {f.name for f in dataclasses.fields(DaemonConfig)}
+        )
+        assert "vc_safety_factor" in shared
+        # every shared field off both its defaults, plus the signalling
+        # cadence both drivers model
+        params = {
+            name: getattr(SchedulerConfig(), name) * 2 for name in shared
+        }
+        params.update(batch_window_s=30.0, n_requests=4, rate_per_s=0.01)
+
+        class Captured(Exception):
+            pass
+
+        live = {}
+
+        class SpyDaemon:
+            def __init__(self, config):
+                live["config"] = config
+                raise Captured
+
+        monkeypatch.setattr(loadtest, "TransferDaemon", SpyDaemon)
+        with pytest.raises(Captured):
+            loadtest.run_loadtest(params, seed=1)
+
+        twin = {}
+        real_make = sched_base.make_scheduler
+        real_signalling = loadtest.BatchSignalling
+
+        def spy_make(name, config=None, *args, **kwargs):
+            twin["config"] = config
+            return real_make(name, config, *args, **kwargs)
+
+        def spy_signalling(**kwargs):
+            twin["batch_window_s"] = kwargs["batch_window_s"]
+            return real_signalling(**kwargs)
+
+        monkeypatch.setattr(sched_base, "make_scheduler", spy_make)
+        monkeypatch.setattr(loadtest, "BatchSignalling", spy_signalling)
+        loadtest.run_loadtest_sim(params, seed=1)
+
+        curve = {}
+        real_sim = loadtest.run_loadtest_sim
+
+        def spy_sim(p, seed, scheduler=None):
+            curve["config"] = scheduler.config
+            return real_sim(p, seed, scheduler=scheduler)
+
+        monkeypatch.setattr(loadtest, "run_loadtest_sim", spy_sim)
+        prediction_error_cost_curve(params, seed=1, biases=(1.0,))
+
+        for name in shared:
+            want = params[name]
+            assert getattr(live["config"], name) == want, name
+            assert getattr(twin["config"], name) == want, name
+            assert getattr(curve["config"], name) == want, name
+        assert live["config"].batch_window_s == 30.0
+        assert twin["batch_window_s"] == 30.0
+
+    def test_shared_fields_share_their_defaults(self):
+        from repro.sched.base import SchedulerConfig
+        from repro.service.daemon import DaemonConfig
+
+        bare = DaemonConfig(socket_path="/tmp/x")
+        assert bare.scheduler_config() == SchedulerConfig()
+
+    def test_harness_defaults_sit_under_the_params(self):
+        config = harness_config({}, seed=3)
+        for name, value in HARNESS_DEFAULTS.items():
+            assert getattr(config, name) == value, name
+        assert config.seed == 3
+        assert harness_config({"queue_limit": 5}, seed=3).queue_limit == 5
+
+    def test_chaos_ops_is_derived_from_n_crashes(self):
+        assert not harness_config({}, seed=0).chaos_ops
+        # not a knob: a params value cannot switch it on by itself ...
+        assert not harness_config({"chaos_ops": True}, seed=0).chaos_ops
+        # ... only injected crashes do
+        assert harness_config({"n_crashes": 1}, seed=0).chaos_ops
+        with pytest.raises(ValueError, match="n_crashes"):
+            harness_config({"n_crashes": -1}, seed=0)
+
+    def test_crash_indices_are_seeded_and_bounded(self):
+        a = _crash_indices(3, 20, seed=4)
+        assert a == _crash_indices(3, 20, seed=4)
+        assert len(a) == 3 and all(0 <= i < 20 for i in a)
+        assert _crash_indices(50, 5, seed=4) == frozenset(range(5))
+        assert _crash_indices(0, 20, seed=4) == frozenset()
+
+    def test_crashes_move_no_twin_draw(self):
+        base = {"n_requests": 80, "rate_per_s": 0.2, "invalid_frac": 0.1}
+        calm = run_loadtest_sim(base, seed=6)
+        crashy = run_loadtest_sim(dict(base, n_crashes=3), seed=6)
+        assert crashy.census() == calm.census()
+        assert crashy.latency_p99_s == calm.latency_p99_s
+        assert crashy.loop_restarts == 0  # the twin has no work loops
+
+
+# ---------------------------------------------------------------------------
 # the deterministic twin
 
 
@@ -313,6 +484,22 @@ class TestSimLoadtest:
         report.n_transport_error = 1
         report.validate()
 
+    def test_validate_pins_sheds_and_loops(self):
+        report = _sim()
+        report.validate()
+        assert report.n_shed > 0
+        bad_reason = dataclasses.replace(
+            report, shed={**report.shed, "busy": 0}
+        )
+        with pytest.raises(AssertionError, match="unknown shed reason"):
+            bad_reason.validate()
+        no_hint = dataclasses.replace(report, retry_after_max_s=None)
+        with pytest.raises(AssertionError, match="retry-after"):
+            no_hint.validate()
+        dead = dataclasses.replace(report, dead_loops=["worker-0"])
+        with pytest.raises(AssertionError, match="dead"):
+            dead.validate()
+
     def test_latency_domain_is_virtual(self):
         report = _sim()
         assert report.mode == "sim"
@@ -391,6 +578,81 @@ class TestLiveLoadtest:
             report.n_accepted + report.n_shed + report.n_invalid == 20
         )
         assert report.as_dict()["n_transport_error"] == 10
+
+    def test_crash_storm_keeps_the_soak_contracts(self, monkeypatch):
+        """Seeded loop panics under a full fault storm: the daemon drains,
+        loses nothing, agrees with the client and restarts every loop."""
+        from repro.service import loadtest
+        from repro.service.daemon import EXIT_DRAINED
+
+        daemons, exits = [], []
+
+        class SpyDaemon(loadtest.TransferDaemon):
+            async def serve(self, *args, **kwargs):
+                daemons.append(self)
+                exits.append(await super().serve(*args, **kwargs))
+                return exits[-1]
+
+        monkeypatch.setattr(loadtest, "TransferDaemon", SpyDaemon)
+        report = run_loadtest(
+            {
+                "arrivals": "poisson",
+                "n_requests": 24,
+                "rate_per_s": 0.05,
+                "n_tenants": 2,
+                "queue_limit": 8,
+                "tenant_quota": 4,
+                "n_crashes": 2,
+                "invalid_frac": 0.15,
+                "reject_prob": 0.3,
+                "setup_timeout_prob": 0.2,
+                "flaps_per_hour": 12.0,
+            },
+            seed=5,
+        )
+        report.validate()
+        json.dumps(report.as_dict())  # cacheable
+        assert exits == [EXIT_DRAINED]
+        (daemon,) = daemons
+        assert daemon.config.chaos_ops
+        # every accepted request settled: nothing lost at drain
+        assert report.n_settled == report.n_accepted
+        assert daemon.metrics.n_lost == 0
+        # the full ledger, on both sides of the socket
+        assert report.n_transport_error == 0
+        assert report.n_offered == (
+            report.n_accepted + report.n_shed + report.n_invalid
+        )
+        m = daemon.metrics
+        assert (m.n_submitted, m.n_accepted, m.n_shed, m.n_invalid) == (
+            report.n_offered, report.n_accepted, report.n_shed,
+            report.n_invalid,
+        )
+        assert report.n_invalid > 0
+        # crashed loops restarted under supervision, none died
+        assert report.loop_restarts >= 1
+        assert report.loop_restarts == daemon.supervisor.n_restarts
+        assert report.dead_loops == []
+        # the admission bound held at every sampled observation
+        assert report.n_outstanding_samples > 0
+        assert report.outstanding_max <= report.outstanding_bound == 8
+
+    def test_a_refused_crash_op_fails_the_run(self, monkeypatch):
+        from repro.service import loadtest
+
+        real_config = loadtest.harness_config
+
+        def without_chaos_ops(params, seed, *args):
+            return dataclasses.replace(
+                real_config(params, seed, *args), chaos_ops=False
+            )
+
+        monkeypatch.setattr(loadtest, "harness_config", without_chaos_ops)
+        with pytest.raises(RuntimeError, match="refused the crash op"):
+            run_loadtest(
+                {"n_requests": 6, "rate_per_s": 0.05, "n_crashes": 1},
+                seed=2,
+            )
 
     def test_registered_as_a_scenario(self):
         from repro.experiments.registry import get_scenario

@@ -63,12 +63,13 @@ class TestFactory:
             make_scheduler("lottery")
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(workers=0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(vc_rate_bps=-1.0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(vc_safety_factor=0.5)
+        for bad in (
+            {"workers": 0}, {"vc_rate_bps": -1.0}, {"vc_safety_factor": 0.5},
+        ):
+            with pytest.raises(ValueError):
+                SchedulerConfig(**bad)
+            with pytest.raises(ValueError):
+                SchedulerConfig.from_params(bad)
 
 
 class TestSeamDefaults:

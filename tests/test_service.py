@@ -35,7 +35,6 @@ from repro.service.daemon import (
     TransferDaemon,
 )
 from repro.service.health import HealthMonitor, ServiceMetrics
-from repro.service.soak import run_service_soak
 from repro.service.supervisor import Supervisor
 
 
@@ -474,6 +473,56 @@ class TestDaemonConfig:
     def test_as_dict_roundtrips(self):
         config = DaemonConfig(socket_path="/tmp/x.sock", workers=2)
         assert DaemonConfig(**config.as_dict()) == config
+        assert DaemonConfig.from_params(config.as_dict()) == config
+
+    def test_from_params_coerces_and_ignores_other_keys(self):
+        config = DaemonConfig.from_params({
+            "socket_path": "/tmp/x.sock",
+            "workers": "3",            # coerced to the field's int
+            "time_scale": 3000,        # int -> float
+            "default_deadline_s": None,
+            "checkpoint_path": None,
+            "chaos_ops": True,
+            "n_requests": 50,          # a load-test param, not a field
+            "mode": "live",
+        })
+        assert config.workers == 3 and isinstance(config.workers, int)
+        assert config.time_scale == 3000.0
+        assert isinstance(config.time_scale, float)
+        assert config.chaos_ops is True
+        # absent fields keep the dataclass defaults
+        assert config.queue_limit == DaemonConfig.queue_limit
+        with pytest.raises(ValueError, match="boolean"):
+            DaemonConfig.from_params(
+                {"socket_path": "/tmp/x", "chaos_ops": "false"}
+            )
+
+    def test_serve_flags_name_config_fields(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args([
+            "serve", "--socket", "/tmp/x.sock", "--workers", "2",
+            "--time-scale", "3000", "--queue-limit", "9",
+            "--tenant-quota", "3", "--vc-rate-bps", "2e9",
+            "--ip-rate-bps", "5e8", "--default-deadline", "90",
+            "--reject-prob", "0.3", "--timeout-prob", "0.2",
+            "--flaps-per-hour", "20", "--flap-duration", "30",
+            "--drain-grace", "7", "--chaos-ops", "--scheduler", "global",
+            "--seed", "3", "--verbose",
+        ])
+        assert DaemonConfig.from_params(vars(args)) == DaemonConfig(
+            socket_path="/tmp/x.sock", workers=2, time_scale=3000.0,
+            queue_limit=9, tenant_quota=3, vc_rate_bps=2e9,
+            ip_rate_bps=5e8, default_deadline_s=90.0, reject_prob=0.3,
+            setup_timeout_prob=0.2, flaps_per_hour=20.0,
+            flap_duration_s=30.0, drain_grace_s=7.0, chaos_ops=True,
+            scheduler="global", seed=3,
+        )
+        # no flag given: the dataclass is the one source of defaults
+        bare = build_parser().parse_args(["serve", "--socket", "/tmp/x"])
+        assert DaemonConfig.from_params(vars(bare)) == DaemonConfig(
+            socket_path="/tmp/x"
+        )
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -492,6 +541,8 @@ class TestDaemonConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             DaemonConfig(**kwargs)
+        with pytest.raises(ValueError):
+            DaemonConfig.from_params(kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,43 +1131,3 @@ class TestRetryAfterClockDomain:
         # signalling alone is up to 61); its wall footprint was tens of
         # milliseconds.  The hint must be in the client's clock domain.
         assert 0 < rej["retry_after_s"] < 5.0
-
-
-# ---------------------------------------------------------------------------
-# the soak scenario
-
-
-class TestServiceSoak:
-    def test_soak_contracts_hold_under_a_fault_storm(self):
-        result = run_service_soak(
-            {
-                "n_requests": 16,
-                "n_tenants": 2,
-                "n_crashes": 1,
-                "queue_limit": 8,
-                "tenant_quota": 4,
-                "time_scale": 3000.0,
-            },
-            seed=5,
-        )
-        json.dumps(result)  # cacheable
-        assert result["exit_code"] == EXIT_DRAINED
-        assert result["n_lost"] == 0
-        # the full ledger: every submission is accepted, shed, or invalid
-        assert result["n_submitted"] == 16
-        assert (
-            result["n_accepted"] + result["n_shed"] + result["n_invalid"]
-            == 16
-        )
-        assert result["n_invalid"] == result["n_invalid_client_side"] == 2
-        assert result["loop_restarts"] >= 1
-        assert result["dead_loops"] == []
-        assert result["mid_outstanding"] <= result["max_outstanding_bound"]
-        # the bound held at *every* sampled observation of the storm
-        assert result["n_outstanding_samples"] > 0
-        assert result["outstanding_max"] <= result["max_outstanding_bound"]
-
-    def test_soak_is_registered_as_a_scenario(self):
-        from repro.experiments.registry import get_scenario
-
-        assert callable(get_scenario("service_soak"))
